@@ -99,7 +99,7 @@ func BenchmarkLLCAccessLRU(b *testing.B) {
 
 // BenchmarkLLCAccessBatch measures the steady-state per-access cost of
 // the same sampling-policy LLC driven through the block-granular
-// AccessBatch entry point in drive-loop-sized chunks. The delta against
+// AccessBatch entry point in 256-access chunks. The delta against
 // BenchmarkLLCAccess is what batching the dispatch is worth at the LLC
 // alone (the private-level filter loops show up only in the campaign
 // benchmarks).

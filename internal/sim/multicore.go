@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"sdbp/internal/cache"
@@ -56,31 +55,17 @@ func (o *MulticoreOptions) normalize() {
 	}
 }
 
-// mcChunk is the pre-filter block size, in accesses: each core's
-// producer generates and private-filters this many accesses per chunk
-// handed to the merge loop.
-const mcChunk = 4096
-
-// mcBuffers is the number of chunk buffers circulating per core: one
-// being filled by the producer, one being consumed by the merge, and
-// slack in the channel between them. Because every buffer is either
-// held or in a channel of this total capacity, neither side ever blocks
-// on the free list.
-const mcBuffers = 4
-
 // mcCore is one core's merge-side state in a multicore run. Its stream
 // arrives pre-filtered through the core's private levels from a
-// producer goroutine (see prefilter); the merge loop owns only the
+// producer goroutine (see prefill); the merge loop owns only the
 // timing model and first-pass bookkeeping.
 type mcCore struct {
 	timing *cpu.Core
 	id     int
 
-	recs chan []hier.Filtered // filled chunks, in stream order
-	free chan []hier.Filtered // recycled chunk buffers
-	errc chan error           // producer failure (closed recs follows)
-	cur  []hier.Filtered
-	pos  int
+	src *producer
+	cur []hier.Filtered
+	pos int
 
 	target    uint64 // first-pass instruction count
 	passInstr uint64
@@ -94,11 +79,11 @@ type mcCore struct {
 func (c *mcCore) next() (hier.Filtered, error) {
 	if c.pos >= len(c.cur) {
 		if c.cur != nil {
-			c.free <- c.cur // never blocks: free holds all buffers
+			c.src.free <- c.cur // never blocks: free holds all buffers
 		}
-		chunk, ok := <-c.recs
+		chunk, ok := <-c.src.recs
 		if !ok {
-			return hier.Filtered{}, <-c.errc
+			return hier.Filtered{}, c.src.err
 		}
 		c.cur, c.pos = chunk, 0
 	}
@@ -107,62 +92,32 @@ func (c *mcCore) next() (hier.Filtered, error) {
 	return f, nil
 }
 
-// prefilter is a core's producer: it generates the (infinitely
-// restarting) reference stream in chunks, tags each access with the
-// core's thread ID and address-space bits — before private filtering,
-// exactly as the per-access loop did — and runs the chunk through the
-// core's private L1/L2 via hier.FilterBlock. The filter core is owned
-// by this goroutine alone; chunk buffers transfer ownership through the
-// recs/free channels, so the expensive per-core work runs in parallel
-// across cores while the merge loop serializes only the shared-LLC leg.
-func prefilter(id int, mixName string, gen trace.Generator, filter *hier.Core,
-	recs, free chan []hier.Filtered, errc chan error, stop <-chan struct{}) {
-	defer close(recs)
-	buf := make([]mem.Access, mcChunk)
-	bg, _ := gen.(trace.BatchGenerator)
-	for {
+// prefill returns a core's producer fill function: it generates the
+// (infinitely restarting) reference stream a full chunk at a time and
+// tags each access with the core's thread ID and address-space bits —
+// before private filtering, exactly as the per-access loop did. Each
+// core's producer then runs its chunks through the core's own private
+// L1/L2, so that work runs in parallel across cores while the merge
+// loop serializes only the shared-LLC leg.
+func prefill(id int, mixName string, bg trace.BatchGenerator) func(buf []mem.Access) (int, error) {
+	return func(buf []mem.Access) (int, error) {
 		n := 0
-		for n < mcChunk {
-			if bg != nil {
-				k := bg.NextBatch(buf[n:])
-				if k == 0 {
-					gen.Reset()
-					if k = bg.NextBatch(buf[n:]); k == 0 {
-						errc <- fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, id)
-						return
-					}
+		for n < len(buf) {
+			k := bg.NextBatch(buf[n:])
+			if k == 0 {
+				bg.Reset()
+				if k = bg.NextBatch(buf[n:]); k == 0 {
+					return 0, fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, id)
 				}
-				n += k
-			} else {
-				a, ok := gen.Next()
-				if !ok {
-					gen.Reset()
-					if a, ok = gen.Next(); !ok {
-						errc <- fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, id)
-						return
-					}
-				}
-				buf[n] = a
-				n++
 			}
+			n += k
 		}
 		for i := range buf {
 			buf[i].Thread = uint8(id)
 			// Each core gets its own physical address space.
 			buf[i].Addr |= uint64(id+1) << 56
 		}
-		var out []hier.Filtered
-		select {
-		case out = <-free:
-		case <-stop:
-			return
-		}
-		filter.FilterBlock(buf, out[:mcChunk])
-		select {
-		case recs <- out[:mcChunk]:
-		case <-stop:
-			return
-		}
+		return n, nil
 	}
 }
 
@@ -226,44 +181,34 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 	opts.normalize()
 	start := time.Now()
 
-	llc := cache.New(opts.LLC, pol)
+	// Efficiency is never reported for multicore runs, and the shared
+	// LLC's per-line clocks would be its largest arrays.
+	llcCfg := opts.LLC
+	llcCfg.SkipEfficiency = true
+	llc := cache.New(llcCfg, pol)
 	res := MulticoreResult{MixName: mix.Name, Policy: pol.Name()}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	shutdown := func() {
-		close(stop)
-		wg.Wait()
-	}
-
 	cores := make([]*mcCore, 4)
+	defer func() {
+		for _, c := range cores {
+			if c != nil {
+				c.src.halt()
+			}
+		}
+	}()
 	for i, name := range mix.Members {
 		w, err := workloads.ByName(name)
 		if err != nil {
-			shutdown()
 			return MulticoreResult{}, fmt.Errorf("sim: mix %s: %w", mix.Name, err)
 		}
-		c := &mcCore{
+		cores[i] = &mcCore{
 			timing: cpu.New(cpu.DefaultConfig()),
 			id:     i,
-			recs:   make(chan []hier.Filtered, mcBuffers-2),
-			free:   make(chan []hier.Filtered, mcBuffers),
-			errc:   make(chan error, 1),
 			// First-pass length in instructions (gaps + one per access),
 			// memoized across runs so no second stream walk happens here.
 			target: w.Instructions(opts.Scale),
+			src:    startProducer(hier.NewCore(hier.DefaultConfig(), nil), prefill(i, mix.Name, w.Generator(opts.Scale))),
 		}
-		for b := 0; b < mcBuffers; b++ {
-			c.free <- make([]hier.Filtered, mcChunk)
-		}
-		cores[i] = c
-		filter := hier.NewCore(hier.DefaultConfig(), nil)
-		gen := w.Generator(opts.Scale)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			prefilter(c.id, mix.Name, gen, filter, c.recs, c.free, c.errc, stop)
-		}()
 	}
 
 	remaining := len(cores)
@@ -277,19 +222,11 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 		}
 		f, err := next.next()
 		if err != nil {
-			shutdown()
 			return MulticoreResult{}, err
 		}
-		level := hier.LevelMemory
-		switch {
-		case f.Flags&hier.FL1Hit != 0:
-			level = hier.LevelL1
-		case f.Flags&hier.FL2Hit != 0:
-			level = hier.LevelL2
-		default:
-			if llc.Access(f.LLC).Hit {
-				level = hier.LevelLLC
-			}
+		level := f.PrivateLevel()
+		if level == hier.LevelMemory && llc.Access(f.LLC).Hit {
+			level = hier.LevelLLC
 		}
 		next.timing.Record(f.Gap, level.Latency(), f.Flags&hier.FDep != 0)
 		next.passInstr += uint64(f.Gap) + 1
@@ -302,8 +239,6 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 			remaining--
 		}
 	}
-	shutdown()
-	llc.Finish()
 
 	var totalInstr uint64
 	for i, c := range cores {

@@ -5,9 +5,9 @@ package sim
 // cache.Stats, the timing model's cycles and the policy's
 // dbrb.Accuracy every Probe.Interval retired instructions, producing
 // the deterministic probe.Series the exporters and cmd/report consume.
-// With Probe nil (the default) none of this exists: the loop pays one
-// nil check per access and the simulated results are byte-identical to
-// a probe-free build (pinned by the committed goldens).
+// With Probe nil (the default) none of this exists: the loop pays a nil
+// check per chunk and the simulated results are byte-identical to a
+// probe-free build (pinned by the committed goldens).
 
 import (
 	"reflect"
@@ -15,6 +15,7 @@ import (
 	"sdbp/internal/cache"
 	"sdbp/internal/cpu"
 	"sdbp/internal/dbrb"
+	"sdbp/internal/hier"
 	"sdbp/internal/predictor"
 	"sdbp/internal/probe"
 )
@@ -110,6 +111,23 @@ func (s *intervalSampler) maybeSample() {
 	if s.next <= instr {
 		s.next = instr + s.every
 	}
+}
+
+// cut returns how many of fb's records the drive loop times before its
+// next maybeSample call: through the first record whose cumulative
+// instruction count reaches the next boundary, or all of fb when none
+// does. Boundaries are a pure function of cumulative instructions, so
+// sampling at these cuts emits exactly the intervals a per-access loop
+// would.
+func (s *intervalSampler) cut(fb []hier.Filtered) int {
+	instr := s.timing.Instructions()
+	for i := range fb {
+		instr += uint64(fb[i].Gap) + 1
+		if instr >= s.next {
+			return i + 1
+		}
+	}
+	return len(fb)
 }
 
 // finish emits the trailing partial interval, if the run retired any

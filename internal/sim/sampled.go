@@ -22,7 +22,6 @@ import (
 	"sdbp/internal/mem"
 	"sdbp/internal/probe"
 	"sdbp/internal/sampling"
-	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
 
@@ -77,24 +76,12 @@ type Materialized struct {
 	// (the extrapolation target for estimates).
 	TotalInstructions uint64
 	TotalAccesses     uint64
+	// SimInstructions is the instructions a replay of these windows
+	// covers (warm-up plus measured; warm gaps are in LLC-stream
+	// coordinates, so both sums count raw retired instructions).
+	SimInstructions uint64
 	// GenDuration is the wall time of the materialization pass.
 	GenDuration time.Duration
-}
-
-// SimInstructions returns the instructions a replay of these windows
-// covers (warm-up plus measured; warm gaps are in LLC-stream
-// coordinates, so both sums count raw retired instructions).
-func (m *Materialized) SimInstructions() uint64 {
-	var n uint64
-	for i := range m.Windows {
-		for _, a := range m.Windows[i].Warm {
-			n += uint64(a.Gap) + 1
-		}
-		for _, a := range m.Windows[i].Measure {
-			n += uint64(a.Gap) + 1
-		}
-	}
-	return n
 }
 
 // MaterializeSampled generates the workload's reference stream once,
@@ -177,6 +164,7 @@ func MaterializeSampled(w workloads.Workload, plan *sampling.Plan, scale float64
 			if inWarm {
 				if llcBound {
 					win.Warm = append(win.Warm, llcRec)
+					m.SimInstructions += uint64(llcRec.Gap) + 1
 				}
 			} else {
 				ma := MeasuredAccess{Access: a, Level: level}
@@ -184,27 +172,18 @@ func MaterializeSampled(w workloads.Workload, plan *sampling.Plan, scale float64
 					ma.LLCGap = llcRec.Gap
 				}
 				win.Measure = append(win.Measure, ma)
+				m.SimInstructions += uint64(a.Gap) + 1
 			}
 		}
 	}
-	if bg, ok := gen.(trace.BatchGenerator); ok {
-		var buf [genBatch]mem.Access
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				break
-			}
-			for i := range buf[:n] {
-				capture(buf[i])
-			}
+	var buf [256]mem.Access
+	for {
+		n := gen.NextBatch(buf[:])
+		if n == 0 {
+			break
 		}
-	} else {
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			capture(a)
+		for i := range buf[:n] {
+			capture(buf[i])
 		}
 	}
 	m.TotalInstructions = cum
@@ -278,7 +257,11 @@ func RunSampledTrace(m *Materialized, pol cache.Policy, opts SingleOptions) (Sam
 	}
 	start := time.Now()
 
-	llc := cache.New(opts.LLC, pol)
+	// Sampled results report no efficiency, so the LLC keeps no per-line
+	// clocks.
+	llcCfg := opts.LLC
+	llcCfg.SkipEfficiency = true
+	llc := cache.New(llcCfg, pol)
 	timing := cpu.New(cpu.DefaultConfig())
 	acc, _ := accuracyOf(pol)
 
@@ -343,9 +326,8 @@ func RunSampledTrace(m *Materialized, pol cache.Policy, opts SingleOptions) (Sam
 		iv.ComputeRates()
 		res.Measured[i] = iv
 	}
-	llc.Finish()
 
-	est, err := m.Plan.Estimate(res.Measured, m.TotalInstructions, m.SimInstructions())
+	est, err := m.Plan.Estimate(res.Measured, m.TotalInstructions, m.SimInstructions)
 	if err != nil {
 		return SampledResult{}, fmt.Errorf("sim: %s/%s: %w", m.Benchmark, res.Policy, err)
 	}
@@ -355,7 +337,7 @@ func RunSampledTrace(m *Materialized, pol cache.Policy, opts SingleOptions) (Sam
 			Benchmark:    m.Benchmark,
 			Policy:       res.Policy,
 			Interval:     m.Plan.Interval,
-			Instructions: m.SimInstructions(),
+			Instructions: m.SimInstructions,
 			Cycles:       uint64(timing.Cycles()),
 			IPC:          timing.IPC(),
 			Accesses:     llc.Stats().Accesses,

@@ -98,7 +98,7 @@ func TestSampledAllIntervalsReproducesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MaterializeSampled: %v", err)
 	}
-	if got := m.SimInstructions(); got != m.TotalInstructions {
+	if got := m.SimInstructions; got != m.TotalInstructions {
 		t.Fatalf("all-intervals plan materialized %d of %d instructions", got, m.TotalInstructions)
 	}
 	res, err := RunSampledTrace(m, policy.NewLRU(), SingleOptions{Scale: testScale})
@@ -311,7 +311,7 @@ func TestSampledCheaperThanFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := float64(m.SimInstructions()) / float64(m.TotalInstructions)
+	frac := float64(m.SimInstructions) / float64(m.TotalInstructions)
 	if frac > 0.5 {
 		t.Fatalf("sampled plan simulates %.0f%% of the stream, want well under half", 100*frac)
 	}

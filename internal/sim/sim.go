@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"runtime"
 	"time"
 
 	"sdbp/internal/cache"
@@ -20,9 +19,18 @@ import (
 	"sdbp/internal/workloads"
 )
 
-// genBatch is the drive loop's generation buffer, in accesses: big
-// enough to amortize per-batch overhead, small enough to stay in L1.
-const genBatch = 256
+// chunkSize is how many accesses cross a goroutine boundary at once, in
+// RunSingle's producer/consumer split and in each of RunMulticore's
+// per-core prefilters. Each handoff can cost a goroutine park and a
+// futex wake-up, so a chunk must be long enough for filtering it to
+// dwarf that; 256-access chunks were not (see EXPERIMENTS.md).
+const chunkSize = 4096
+
+// pipeBuffers is the number of chunk buffers circulating per producer:
+// one being filled, one being consumed, and slack in the channel
+// between them. Because every buffer is either held or in a channel of
+// this total capacity, neither side ever blocks on the free list.
+const pipeBuffers = 4
 
 // SingleResult reports one single-core run.
 type SingleResult struct {
@@ -111,81 +119,7 @@ func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) Singl
 	ps := newIntervalSampler(opts.Probe, llc, timing, pol)
 
 	res := SingleResult{Benchmark: w.Name, Policy: pol.Name()}
-
-	gen := w.Generator(opts.Scale)
-	bg, batched := gen.(trace.BatchGenerator)
-	// Stream capture observes exactly the LLC-bound records, which the
-	// block path already materializes (Filtered.LLC): when the hierarchy
-	// is otherwise block-capable, collect them from FilterBlock's output
-	// instead of registering the observer that would force per-access
-	// dispatch. hier.Core.Access invokes the observer with the identical
-	// gap-rewritten record, so the captured stream is byte-identical.
-	blockCapture := opts.CaptureStream && batched && ps == nil && core.BlockCapable()
-	if opts.CaptureStream && !blockCapture {
-		core.CaptureLLC(func(a mem.Access) { res.Stream = append(res.Stream, a) })
-	}
-
-	if blockCapture {
-		res.Stream = runCapture(bg, core, llc, timing)
-	} else if batched && ps == nil && core.BlockCapable() &&
-		runtime.NumCPU() > 1 {
-		// Pipelined block-granular drive: a producer goroutine generates
-		// each block and runs it through the private levels
-		// (FilterBlock), while this goroutine consumes the filtered
-		// records — LLC leg, then timing. The split is safe because the
-		// two sides own disjoint state (producer: generator + L1/L2;
-		// consumer: LLC + timing model; handoff through the channel
-		// orders everything else), and byte-identical because each cache
-		// still sees its own access subsequence in order and timing
-		// never feeds back — pinned by the goldens.
-		runPipelined(bg, core, llc, timing)
-	} else if batched && ps == nil {
-		// Observers (stream capture) force per-access dispatch inside
-		// AccessBlock, but batched generation still amortizes the
-		// generator interface.
-		var buf [genBatch]mem.Access
-		var levels [genBatch]hier.Level
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				break
-			}
-			core.AccessBlock(buf[:n], levels[:n])
-			for i := 0; i < n; i++ {
-				timing.Record(buf[i].Gap, levels[i].Latency(), buf[i].DependentLoad)
-			}
-		}
-	} else if batched {
-		// Probed runs keep the per-access loop: the interval sampler
-		// reads the timing model and LLC statistics after every access,
-		// so hierarchy and timing may not be regrouped. Batched
-		// generation still amortizes the generator dispatch.
-		var buf [genBatch]mem.Access
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				break
-			}
-			for i := range buf[:n] {
-				a := buf[i]
-				level := core.Access(a)
-				timing.Record(a.Gap, level.Latency(), a.DependentLoad)
-				ps.maybeSample()
-			}
-		}
-	} else {
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			level := core.Access(a)
-			timing.Record(a.Gap, level.Latency(), a.DependentLoad)
-			if ps != nil {
-				ps.maybeSample()
-			}
-		}
-	}
+	res.Stream = drive(w.Generator(opts.Scale), core, llc, timing, ps, opts.CaptureStream)
 	llc.Finish()
 
 	res.Instructions = timing.Instructions()
@@ -211,115 +145,125 @@ func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) Singl
 	return res
 }
 
-// pipeBuffers is the pipelined drive loop's block count in flight: one
-// being filtered, one in the channel, one being consumed.
-const pipeBuffers = 3
+// drive is RunSingle's one drive loop. A producer goroutine generates
+// the stream and runs it through the private levels (FilterBlock); this
+// goroutine consumes the filtered records, LLC leg then timing. The
+// split is byte-identical to per-access Access calls because each cache
+// still sees its own access subsequence in order, the private levels
+// never read LLC or timing state, and timing never feeds back.
+//
+// A probed run cuts each chunk just after every access that reaches the
+// interval sampler's next boundary and samples there, so the sampler
+// reads the same LLC, accuracy and timing state a per-access loop would.
+// With capture set, the LLC-bound records — the gap-rewritten accesses
+// the LLC receives — are returned in stream order.
+func drive(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *cpu.Core,
+	ps *intervalSampler, capture bool) []mem.Access {
+	p := startProducer(core, func(buf []mem.Access) (int, error) { return bg.NextBatch(buf), nil })
+	defer p.halt()
+	var stream []mem.Access
+	llcAs := make([]mem.Access, chunkSize)
+	llcRs := make([]cache.Result, chunkSize)
+	for fb := range p.recs {
+		for rest := fb; len(rest) > 0; {
+			seg := rest
+			if ps != nil {
+				seg = rest[:ps.cut(rest)]
+			}
+			n := 0
+			for i := range seg {
+				if seg[i].Flags&hier.FLLCBound != 0 {
+					llcAs[n] = seg[i].LLC
+					n++
+				}
+			}
+			if capture {
+				stream = append(stream, llcAs[:n]...)
+			}
+			llc.AccessBatch(llcAs[:n], llcRs[:n])
+			j := 0
+			for i := range seg {
+				level := seg[i].PrivateLevel()
+				if level == hier.LevelMemory {
+					if llcRs[j].Hit {
+						level = hier.LevelLLC
+					}
+					j++
+				}
+				timing.Record(seg[i].Gap, level.Latency(), seg[i].Flags&hier.FDep != 0)
+			}
+			if ps != nil {
+				ps.maybeSample()
+			}
+			rest = rest[len(seg):]
+		}
+		p.free <- fb[:cap(fb)] // never blocks: free holds every buffer
+	}
+	return stream
+}
 
-// runPipelined is RunSingle's drive loop when the hierarchy is fully
-// block-capable: generation plus private-level filtering run in a
-// producer goroutine, the LLC leg and the timing model in the caller.
-// The stream is deterministic and the private levels never read LLC or
-// timing state, so overlapping the two halves changes no observable
-// byte. The producer exits on stream exhaustion and the channel close
-// both terminates the consumer and publishes the producer-side cache
-// state (L1/L2 stats, tags) to the caller.
-func runPipelined(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *cpu.Core) {
-	recs := make(chan []hier.Filtered, pipeBuffers)
-	free := make(chan []hier.Filtered, pipeBuffers)
+// producer is a goroutine that generates a stream and runs it through
+// one core's private levels (hier.Core.FilterBlock), handing chunks of
+// filtered records to a single consumer. The filter core belongs to the
+// producer alone until recs is closed; chunk buffers transfer ownership
+// through the recs and free channels.
+type producer struct {
+	recs chan []hier.Filtered // filled chunks in stream order; closed when the producer exits
+	free chan []hier.Filtered // recycled chunk buffers
+	err  error                // why the stream ended early; read only after recs is closed
+	stop chan struct{}
+	done chan struct{}
+}
+
+// startProducer starts a producer whose fill callback writes the next
+// accesses into buf and returns how many it wrote; 0 ends the stream,
+// and an error ends it with p.err set.
+func startProducer(filter *hier.Core, fill func(buf []mem.Access) (int, error)) *producer {
+	p := &producer{
+		recs: make(chan []hier.Filtered, pipeBuffers-2),
+		free: make(chan []hier.Filtered, pipeBuffers),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
 	for i := 0; i < pipeBuffers; i++ {
-		free <- make([]hier.Filtered, genBatch)
+		p.free <- make([]hier.Filtered, chunkSize)
 	}
 	go func() {
-		defer close(recs)
-		var buf [genBatch]mem.Access
+		defer close(p.done)
+		defer close(p.recs)
+		buf := make([]mem.Access, chunkSize)
 		for {
-			n := bg.NextBatch(buf[:])
+			n, err := fill(buf)
+			if err != nil {
+				p.err = err
+				return
+			}
 			if n == 0 {
 				return
 			}
-			fb := (<-free)[:n]
-			core.FilterBlock(buf[:n], fb)
-			recs <- fb
+			var out []hier.Filtered
+			select {
+			case out = <-p.free:
+			case <-p.stop:
+				return
+			}
+			filter.FilterBlock(buf[:n], out[:n])
+			select {
+			case p.recs <- out[:n]:
+			case <-p.stop:
+				return
+			}
 		}
 	}()
-	llcAs := make([]mem.Access, genBatch)
-	llcRs := make([]cache.Result, genBatch)
-	for fb := range recs {
-		n := 0
-		for i := range fb {
-			if fb[i].Flags&hier.FLLCBound != 0 {
-				llcAs[n] = fb[i].LLC
-				n++
-			}
-		}
-		llc.AccessBatch(llcAs[:n], llcRs[:n])
-		j := 0
-		for i := range fb {
-			var level hier.Level
-			switch {
-			case fb[i].Flags&hier.FL1Hit != 0:
-				level = hier.LevelL1
-			case fb[i].Flags&hier.FL2Hit != 0:
-				level = hier.LevelL2
-			default:
-				level = hier.LevelMemory
-				if llcRs[j].Hit {
-					level = hier.LevelLLC
-				}
-				j++
-			}
-			timing.Record(fb[i].Gap, level.Latency(), fb[i].Flags&hier.FDep != 0)
-		}
-		free <- fb[:cap(fb)]
-	}
+	return p
 }
 
-// runCapture is RunSingle's drive loop for stream-capture runs on a
-// block-capable hierarchy: the private levels run as FilterBlock, the
-// LLC-bound subsequence is both appended to the captured stream and
-// delivered to the LLC in one batch, and the timing model replays the
-// per-access levels from the filtered flags. The records appended are
-// the same gap-rewritten accesses hier.Core.Access would have handed
-// the CaptureLLC observer, in the same order.
-func runCapture(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *cpu.Core) []mem.Access {
-	var stream []mem.Access
-	var buf [genBatch]mem.Access
-	var fb [genBatch]hier.Filtered
-	var llcAs [genBatch]mem.Access
-	var llcRs [genBatch]cache.Result
-	for {
-		n := bg.NextBatch(buf[:])
-		if n == 0 {
-			return stream
-		}
-		core.FilterBlock(buf[:n], fb[:n])
-		m := 0
-		for i := 0; i < n; i++ {
-			if fb[i].Flags&hier.FLLCBound != 0 {
-				llcAs[m] = fb[i].LLC
-				m++
-			}
-		}
-		stream = append(stream, llcAs[:m]...)
-		llc.AccessBatch(llcAs[:m], llcRs[:m])
-		j := 0
-		for i := 0; i < n; i++ {
-			var level hier.Level
-			switch {
-			case fb[i].Flags&hier.FL1Hit != 0:
-				level = hier.LevelL1
-			case fb[i].Flags&hier.FL2Hit != 0:
-				level = hier.LevelL2
-			default:
-				level = hier.LevelMemory
-				if llcRs[j].Hit {
-					level = hier.LevelLLC
-				}
-				j++
-			}
-			timing.Record(fb[i].Gap, level.Latency(), fb[i].Flags&hier.FDep != 0)
-		}
-	}
+// halt stops the producer and waits for it to exit. Consumers defer it,
+// so a panic in the consumer (a policy fault in the LLC leg) leaves no
+// producer blocked on its channels. Call it once.
+func (p *producer) halt() {
+	close(p.stop)
+	<-p.done
 }
 
 // fillAccuracy extracts predictor-quality metrics when the policy is a

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"sdbp/internal/cache"
 	"sdbp/internal/dbrb"
 	"sdbp/internal/hier"
+	"sdbp/internal/mem"
 	"sdbp/internal/policy"
 	"sdbp/internal/predictor"
 	"sdbp/internal/workloads"
@@ -184,6 +186,50 @@ func TestSharedCacheContention(t *testing.T) {
 		}
 		if r.IPC[i] > solo*1.02 { // small tolerance: interleaving jitter
 			t.Errorf("%s: shared IPC %.3f exceeds solo IPC %.3f", name, r.IPC[i], solo)
+		}
+	}
+}
+
+// faultyPolicy is LRU with an out-of-range victim choice, so the first
+// eviction in a full set panics inside cache.Access — on the drive
+// loop's LLC leg, never in a producer.
+type faultyPolicy struct{ *policy.LRU }
+
+func (faultyPolicy) Name() string                  { return "faulty" }
+func (faultyPolicy) Victim(uint32, mem.Access) int { return -1 }
+
+// panics reports whether run panicked, recovering the panic as the
+// runner and sdbpd do for a failing job.
+func panics(run func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	run()
+	return false
+}
+
+// TestPolicyPanicStopsProducers pins that a recovered policy panic
+// leaves no producer goroutine behind in either drive loop that starts
+// them: the goroutine count returns to its baseline.
+func TestPolicyPanicStopsProducers(t *testing.T) {
+	small := cache.Config{Name: "LLC", SizeBytes: 64 << 10, Ways: 16}
+	runs := []struct {
+		name string
+		run  func()
+	}{
+		{"RunSingle", func() {
+			RunSingle(hmmer(t), faultyPolicy{policy.NewLRU()}, SingleOptions{Scale: testScale, LLC: small})
+		}},
+		{"RunMulticore", func() {
+			RunMulticore(workloads.Mixes()[0], faultyPolicy{policy.NewLRU()}, MulticoreOptions{Scale: testScale, LLC: small})
+		}},
+	}
+	for _, r := range runs {
+		before := runtime.NumGoroutine()
+		if !panics(r.run) {
+			t.Errorf("%s: the faulty policy did not panic", r.name)
+			continue
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the recovered panic, %d before", r.name, after, before)
 		}
 	}
 }

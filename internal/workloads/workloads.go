@@ -42,15 +42,16 @@ type Workload struct {
 }
 
 // Generator returns the workload's reference stream at the given scale
-// (1.0 reproduces the default length). Streams are deterministic: the
-// same workload and scale always produce the same accesses.
+// (1.0 reproduces the default length) as a batch generator. Streams are
+// deterministic: the same workload and scale always produce the same
+// accesses.
 //
 // Small streams are generated once and memoized (see streamMemo), so a
 // campaign's repeated walks of the same (workload, scale) — one per
 // policy, plus the instruction-count and capture passes — replay a
 // bulk-copied slice instead of re-running the kernel machinery per
 // access. Replayed and generated streams are identical by construction.
-func (w Workload) Generator(scale float64) trace.Generator {
+func (w Workload) Generator(scale float64) trace.BatchGenerator {
 	n := int(float64(w.accesses) * scale)
 	if n < 1 {
 		n = 1
@@ -176,24 +177,14 @@ func (w Workload) Instructions(scale float64) uint64 {
 		return n
 	}
 	gen := w.Generator(scale)
-	if bg, ok := gen.(trace.BatchGenerator); ok {
-		var buf [256]mem.Access
-		for {
-			k := bg.NextBatch(buf[:])
-			if k == 0 {
-				break
-			}
-			for i := 0; i < k; i++ {
-				n += uint64(buf[i].Gap) + 1
-			}
+	var buf [256]mem.Access
+	for {
+		k := gen.NextBatch(buf[:])
+		if k == 0 {
+			break
 		}
-	} else {
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			n += uint64(a.Gap) + 1
+		for i := 0; i < k; i++ {
+			n += uint64(buf[i].Gap) + 1
 		}
 	}
 	instrMemo.Lock()

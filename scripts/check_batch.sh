@@ -1,19 +1,18 @@
 #!/bin/sh
 # check_batch.sh — enforce the block-granular hot-path invariant.
 #
-# The campaign drive loops dispatch at block granularity: RunSingle
-# drives hier.Core.AccessBlock, RunSampledTrace replays windows through
-# cache.AccessBatch, and RunMulticore filters each core's stream with
-# hier.Core.FilterBlock before the ordered LLC merge. This guard fails
-# when (a) one of those wiring points disappears, or (b) a new
-# per-access dispatch site (.Access( on a core or cache) shows up on the
-# simulation path without being added to the documented allowlist below.
+# The campaign drive loops dispatch at block granularity: RunSingle's
+# producer runs hier.Core.FilterBlock over each chunk and its consumer
+# hands the LLC-bound records to cache.AccessBatch, RunSampledTrace
+# replays windows through cache.AccessBatch, and RunMulticore filters
+# each core's stream through the same FilterBlock producer before the
+# ordered LLC merge. This guard fails when (a) one of those wiring
+# points disappears, or (b) a new per-access dispatch site (.Access( on
+# a core or cache) shows up on the simulation path without being added
+# to the documented allowlist below.
 #
 # Allowlisted per-access sites — each is per-access by necessity:
 #
-#   sim.go       core.Access(a)      probed runs (an interval sampler
-#                                    reads state between accesses) and
-#                                    the non-batch generator fallback
 #   sampled.go   filter.Access(a)    stream materialization captures
 #                                    per-access via a generator observer
 #   multicore.go llc.Access(f.LLC)   the shared-LLC merge is inherently
@@ -32,12 +31,14 @@ require() { # file pattern description
   $1: expected \`$2\` ($3)"
     fi
 }
-require internal/sim/sim.go 'core\.AccessBlock(' \
-    "RunSingle's block-granular drive loop"
+require internal/sim/sim.go '\.FilterBlock(' \
+    "the drive-loop producer's private-level filter"
+require internal/sim/sim.go '\.AccessBatch(' \
+    "RunSingle's batched LLC leg"
 require internal/sim/sampled.go 'llc\.AccessBatch(' \
     "RunSampledTrace's batched window replay"
-require internal/sim/multicore.go '\.FilterBlock(' \
-    "RunMulticore's per-core private-level prefilter"
+require internal/sim/multicore.go 'startProducer(' \
+    "RunMulticore's per-core FilterBlock prefilter"
 
 if [ -n "$missing" ]; then
     echo "batch guard: block-granular wiring missing:$missing" >&2
@@ -48,7 +49,6 @@ violations=$(grep -rn '\.Access(' internal/sim internal/figures \
     --include='*.go' \
   | grep -v '_test\.go:' \
   | grep -v '^internal/sim/diff\.go:' \
-  | grep -v 'core\.Access(a)' \
   | grep -v 'filter\.Access(a)' \
   | grep -v 'llc\.Access(f\.LLC)' \
   || true)
@@ -56,7 +56,7 @@ violations=$(grep -rn '\.Access(' internal/sim internal/figures \
 if [ -n "$violations" ]; then
     echo "batch guard: per-access dispatch on the simulation path:" >&2
     echo "$violations" >&2
-    echo "route bulk traffic through AccessBlock/AccessBatch (or add a documented exception here)" >&2
+    echo "route bulk traffic through FilterBlock/AccessBatch (or add a documented exception here)" >&2
     exit 1
 fi
 echo "batch guard: ok"
