@@ -19,7 +19,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -139,17 +138,16 @@ func TestSampledValidation(t *testing.T) {
 // TestSampledWallTime enforces the cost half of the contract: replaying
 // the committed plans across the whole validation set must cost at
 // most 25% of the full-run wall time for the same cells. Both passes
-// run single-worker on one P, so the ratio compares serial simulation
-// cost and does not depend on the host's core count (a full run's
-// producer goroutine would otherwise overlap generation with the LLC
-// leg on a second core); the sampled pass gets a second attempt
-// because the simulated work is deterministic and only scheduling
-// noise can push a run over.
+// run single-worker, each with its own in-job concurrency: a full run
+// filters on a producer goroutine while its consumer drives the LLC,
+// and a sampled job generates on a producer while its consumer
+// captures windows, then replays its policies concurrently. The
+// sampled pass gets a second attempt because the simulated work is
+// deterministic and only scheduling noise can push a run over.
 func TestSampledWallTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times full runs; skipped with -short (CI has a dedicated step)")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	plans, _, err := loadSampledData()
 	if err != nil {
 		t.Fatalf("%v (run TestSampledValidation -update-sampled first)", err)

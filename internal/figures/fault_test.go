@@ -9,6 +9,7 @@ import (
 
 	"sdbp/internal/cache"
 	"sdbp/internal/runner"
+	"sdbp/internal/sampling"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
@@ -210,5 +211,47 @@ func TestResumeRecomputesOnlyFailedCells(t *testing.T) {
 		if m2.Get(b, "Faulty").Instructions == 0 {
 			t.Errorf("recomputed cell (%s, Faulty) empty", b)
 		}
+	}
+}
+
+// TestSampledReplayPanicFailsJob pins the concurrent per-policy replay
+// of a sampled job: cells come back in spec order, identical to
+// replaying the policies one after another, and a policy that panics
+// fails the benchmark with its panic value instead of crashing the
+// process from a replay goroutine.
+func TestSampledReplayPanicFailsJob(t *testing.T) {
+	w, err := workloads.ByName("456.hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.SingleOptions{Scale: tinyScale}
+	plan, err := sim.SelectPlan(w, LRUSpec().Make(1), opts, 5_000, sampling.Config{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := sim.MaterializeSampled(w, &plan, tinyScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	specs := []PolicySpec{LRUSpec(), preset("Sampler"), preset("SHiP")}
+	cells, err := replayPolicies(mat, specs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		res, err := sim.RunSampledTrace(mat, spec.Make(1), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SampledCell{Bench: w.Name, Policy: spec.Name, Estimate: res.Estimate}
+		if !reflect.DeepEqual(cells[i], want) {
+			t.Errorf("cell %d = %+v, want %+v", i, cells[i], want)
+		}
+	}
+
+	_, err = replayPolicies(mat, []PolicySpec{LRUSpec(), faultySpec()}, opts)
+	if err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("replay with a panicking policy returned %v, want the panic as an error", err)
 	}
 }

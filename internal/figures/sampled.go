@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"sdbp/internal/runner"
@@ -231,8 +232,9 @@ func RunSampledGoldenEnv(e *Env, benches, policies []string, scale float64) *Sam
 // RunSampledValidationEnv replays the committed plans against the
 // policy set: one job per benchmark generates the stream once,
 // materializes the plan's windows, and replays them under every
-// policy. The result is a pure function of (plans, policies) — job
-// scheduling cannot reorder or perturb cells.
+// policy concurrently. The result is a pure function of (plans,
+// policies) — neither job nor replay scheduling can reorder or perturb
+// cells.
 func RunSampledValidationEnv(e *Env, plans *SampledPlans, policies []string) *SampledValidation {
 	start := time.Now()
 	benches := plans.Benches()
@@ -259,15 +261,7 @@ func RunSampledValidationEnv(e *Env, plans *SampledPlans, policies []string) *Sa
 				if err != nil {
 					return nil, err
 				}
-				cells := make([]SampledCell, 0, len(specs))
-				for i, spec := range specs {
-					res, err := sim.RunSampledTrace(mat, spec.Make(1), sim.SingleOptions{Scale: plans.Scale})
-					if err != nil {
-						return nil, fmt.Errorf("%s/%s: %w", bench, policies[i], err)
-					}
-					cells = append(cells, SampledCell{Bench: bench, Policy: policies[i], Estimate: res.Estimate})
-				}
-				return cells, nil
+				return replayPolicies(mat, specs, sim.SingleOptions{Scale: plans.Scale})
 			},
 		})
 	}
@@ -280,6 +274,36 @@ func RunSampledValidationEnv(e *Env, plans *SampledPlans, policies []string) *Sa
 	}
 	v.Wall = time.Since(start)
 	return v
+}
+
+// replayPolicies replays one materialized benchmark under every policy,
+// one goroutine per policy: the replays only read the windows. Cells
+// come back in spec order. A policy that panics fails the whole
+// benchmark with an error, as it would on the job's own goroutine.
+func replayPolicies(mat *sim.Materialized, specs []PolicySpec, opts sim.SingleOptions) ([]SampledCell, error) {
+	cells := make([]SampledCell, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			res, err := sim.RunSampledTrace(mat, spec.Make(1), opts)
+			cells[i], errs[i] = SampledCell{Bench: mat.Benchmark, Policy: spec.Name, Estimate: res.Estimate}, err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", mat.Benchmark, specs[i].Name, err)
+		}
+	}
+	return cells, nil
 }
 
 // SampledCheck is one cell's estimate-vs-golden verdict.

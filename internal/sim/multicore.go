@@ -63,7 +63,7 @@ type mcCore struct {
 	timing *cpu.Core
 	id     int
 
-	src *producer
+	src *producer[hier.Filtered]
 	cur []hier.Filtered
 	pos int
 
@@ -79,7 +79,7 @@ type mcCore struct {
 func (c *mcCore) next() (hier.Filtered, error) {
 	if c.pos >= len(c.cur) {
 		if c.cur != nil {
-			c.src.free <- c.cur // never blocks: free holds all buffers
+			c.src.free <- c.cur
 		}
 		chunk, ok := <-c.src.recs
 		if !ok {
@@ -207,7 +207,7 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 			// First-pass length in instructions (gaps + one per access),
 			// memoized across runs so no second stream walk happens here.
 			target: w.Instructions(opts.Scale),
-			src:    startProducer(hier.NewCore(hier.DefaultConfig(), nil), prefill(i, mix.Name, w.Generator(opts.Scale))),
+			src:    startProducer(pipeBuffers, filtered(hier.NewCore(hier.DefaultConfig(), nil), prefill(i, mix.Name, w.Generator(opts.Scale)))),
 		}
 	}
 

@@ -84,6 +84,16 @@ type Materialized struct {
 	GenDuration time.Duration
 }
 
+// materializeBuffers is how many generated chunks MaterializeSampled's
+// producer may run ahead of its consumer: 512K accesses, about one
+// window at the validation configuration (two warm-up intervals and a
+// measured one). Inside a window the consumer filters and captures
+// every access and falls behind generation; between windows it only
+// counts instructions and catches up. Buffering a window's worth lets
+// generation run on through a window instead of waiting at its start.
+// Shorter streams get no more buffers than they fill.
+const materializeBuffers = 128
+
 // MaterializeSampled generates the workload's reference stream once,
 // replays the windows' accesses through the policy-independent private
 // levels (a fresh L1/L2 stack, exactly what a per-policy replay used
@@ -126,65 +136,62 @@ func MaterializeSampled(w workloads.Workload, plan *sampling.Plan, scale float64
 
 	// The private-level filter sees exactly the accesses inside windows,
 	// in stream order, once each — the same stream the per-policy hier
-	// stack processed before filtering moved here. A capture-only core
-	// (nil LLC) delivers the gap-rewritten LLC-bound records.
+	// stack processed before filtering moved here. Generation, the
+	// dominant cost, runs on a producer goroutine; this goroutine picks
+	// out each chunk's in-window runs, filters them (FilterBlock writes
+	// the gap-rewritten LLC-bound records) and captures them.
 	filter := hier.NewCore(hier.DefaultConfig(), nil)
-	var llcRec mem.Access
-	var llcBound bool
-	filter.CaptureLLC(func(a mem.Access) { llcRec, llcBound = a, true })
-
-	var cum uint64 // instructions retired after the current access
-	lo := 0        // first window whose End is still ahead of cum
+	recs := make([]hier.Filtered, chunkSize)
 	gen := w.Generator(scale)
-	capture := func(a mem.Access) {
-		cum += uint64(a.Gap) + 1
-		m.TotalAccesses++
-		for lo < len(plan.Picks) && plan.Picks[lo].End < cum {
-			lo++
-		}
-		filtered := false // filter.Access ran for this access
-		level := hier.LevelMemory
-		for i := lo; i < len(plan.Picks); i++ {
-			if cum <= warmLo[i] {
-				// Windows are Start-sorted and warm-ups have one fixed
-				// length, so no later window can contain cum either.
-				break
+	buffers := min(materializeBuffers, 2+w.Accesses(scale)/chunkSize)
+	p := startProducer(buffers, func(buf []mem.Access) (int, error) { return gen.NextBatch(buf), nil })
+	defer p.halt()
+	var cum uint64 // instructions retired before the current access
+	lo := 0        // first window whose End is still ahead of cum
+	for chunk := range p.recs {
+		m.TotalAccesses += uint64(len(chunk))
+		for i := 0; i < len(chunk); {
+			after := cum + uint64(chunk[i].Gap) + 1
+			for lo < len(plan.Picks) && plan.Picks[lo].End < after {
+				lo++
 			}
-			inWarm := cum <= plan.Picks[i].Start
-			inMeasure := !inWarm && cum <= plan.Picks[i].End
-			if !inWarm && !inMeasure {
+			if lo == len(plan.Picks) || after <= warmLo[lo] {
+				cum = after
+				i++
 				continue
 			}
-			if !filtered {
-				llcBound = false
-				level = filter.Access(a)
-				filtered = true
-			}
-			win := &m.Windows[i]
-			if inWarm {
-				if llcBound {
-					win.Warm = append(win.Warm, llcRec)
-					m.SimInstructions += uint64(llcRec.Gap) + 1
+			// chunk[i] opens a run inside window lo (the windows are
+			// disjoint); the run ends at the pick's End or the chunk's.
+			pk := plan.Picks[lo]
+			j := i
+			for c := cum; j < len(chunk); j++ {
+				if c += uint64(chunk[j].Gap) + 1; c > pk.End {
+					break
 				}
-			} else {
-				ma := MeasuredAccess{Access: a, Level: level}
-				if llcBound {
-					ma.LLCGap = llcRec.Gap
+			}
+			filter.FilterBlock(chunk[i:j], recs[:j-i])
+			win := &m.Windows[lo]
+			for k := range recs[:j-i] {
+				f, a := &recs[k], &chunk[i+k]
+				cum += uint64(a.Gap) + 1
+				bound := f.Flags&hier.FLLCBound != 0
+				if cum <= pk.Start {
+					if bound {
+						win.Warm = append(win.Warm, f.LLC)
+						m.SimInstructions += uint64(f.LLC.Gap) + 1
+					}
+					continue
+				}
+				ma := MeasuredAccess{Access: *a, Level: f.PrivateLevel()}
+				if bound {
+					ma.LLCGap = f.LLC.Gap
 				}
 				win.Measure = append(win.Measure, ma)
 				m.SimInstructions += uint64(a.Gap) + 1
 			}
+			i = j
 		}
-	}
-	var buf [256]mem.Access
-	for {
-		n := gen.NextBatch(buf[:])
-		if n == 0 {
-			break
-		}
-		for i := range buf[:n] {
-			capture(buf[i])
-		}
+		p.free <- chunk
 	}
 	m.TotalInstructions = cum
 	m.GenDuration = time.Since(start)

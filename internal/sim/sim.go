@@ -19,17 +19,15 @@ import (
 	"sdbp/internal/workloads"
 )
 
-// chunkSize is how many accesses cross a goroutine boundary at once, in
-// RunSingle's producer/consumer split and in each of RunMulticore's
-// per-core prefilters. Each handoff can cost a goroutine park and a
+// chunkSize is how many accesses cross a goroutine boundary at once, at
+// every producer in the package: RunSingle's, each of RunMulticore's
+// per-core prefilters, and MaterializeSampled's. Each handoff can cost a goroutine park and a
 // futex wake-up, so a chunk must be long enough for filtering it to
 // dwarf that; 256-access chunks were not (see EXPERIMENTS.md).
 const chunkSize = 4096
 
-// pipeBuffers is the number of chunk buffers circulating per producer:
-// one being filled, one being consumed, and slack in the channel
-// between them. Because every buffer is either held or in a channel of
-// this total capacity, neither side ever blocks on the free list.
+// pipeBuffers is the number of chunk buffers circulating per drive-loop
+// producer: one being filled, one being consumed, and two in flight.
 const pipeBuffers = 4
 
 // SingleResult reports one single-core run.
@@ -159,7 +157,7 @@ func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) Singl
 // the LLC receives — are returned in stream order.
 func drive(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *cpu.Core,
 	ps *intervalSampler, capture bool) []mem.Access {
-	p := startProducer(core, func(buf []mem.Access) (int, error) { return bg.NextBatch(buf), nil })
+	p := startProducer(pipeBuffers, filtered(core, func(buf []mem.Access) (int, error) { return bg.NextBatch(buf), nil }))
 	defer p.halt()
 	var stream []mem.Access
 	llcAs := make([]mem.Access, chunkSize)
@@ -197,42 +195,47 @@ func drive(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *c
 			}
 			rest = rest[len(seg):]
 		}
-		p.free <- fb[:cap(fb)] // never blocks: free holds every buffer
+		p.free <- fb
 	}
 	return stream
 }
 
-// producer is a goroutine that generates a stream and runs it through
-// one core's private levels (hier.Core.FilterBlock), handing chunks of
-// filtered records to a single consumer. The filter core belongs to the
-// producer alone until recs is closed; chunk buffers transfer ownership
-// through the recs and free channels.
-type producer struct {
-	recs chan []hier.Filtered // filled chunks in stream order; closed when the producer exits
-	free chan []hier.Filtered // recycled chunk buffers
-	err  error                // why the stream ended early; read only after recs is closed
+// producer is a goroutine that fills chunks of records for a single
+// consumer: generated accesses, or for the drive loops accesses already
+// run through one core's private levels (see filtered). Whatever state
+// fill touches belongs to the producer alone until recs is closed;
+// chunk buffers transfer ownership through the recs and free channels.
+type producer[T any] struct {
+	recs chan []T // filled chunks in stream order; closed when the producer exits
+	free chan []T // recycled chunk buffers
+	err  error    // why the stream ended early; read only after recs is closed
 	stop chan struct{}
 	done chan struct{}
 }
 
-// startProducer starts a producer whose fill callback writes the next
-// accesses into buf and returns how many it wrote; 0 ends the stream,
-// and an error ends it with p.err set.
-func startProducer(filter *hier.Core, fill func(buf []mem.Access) (int, error)) *producer {
-	p := &producer{
-		recs: make(chan []hier.Filtered, pipeBuffers-2),
-		free: make(chan []hier.Filtered, pipeBuffers),
+// startProducer starts a producer with the given number (at least 2)
+// of chunk buffers, whose fill callback writes the next records into
+// buf and returns how many it wrote; 0 ends the stream, and an error
+// ends it with p.err set. The recs channel holds at most buffers-2
+// chunks and each side holds at most one, so after every send the free
+// list has a buffer for the producer, and it always has room for the
+// consumer's return.
+func startProducer[T any](buffers int, fill func(buf []T) (int, error)) *producer[T] {
+	p := &producer[T]{
+		recs: make(chan []T, buffers-2),
+		free: make(chan []T, buffers),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	for i := 0; i < pipeBuffers; i++ {
-		p.free <- make([]hier.Filtered, chunkSize)
+	for i := 0; i < buffers; i++ {
+		p.free <- make([]T, chunkSize)
 	}
 	go func() {
 		defer close(p.done)
 		defer close(p.recs)
-		buf := make([]mem.Access, chunkSize)
 		for {
+			buf := <-p.free
+			buf = buf[:cap(buf)] // consumers return chunks as they got them
 			n, err := fill(buf)
 			if err != nil {
 				p.err = err
@@ -241,15 +244,8 @@ func startProducer(filter *hier.Core, fill func(buf []mem.Access) (int, error)) 
 			if n == 0 {
 				return
 			}
-			var out []hier.Filtered
 			select {
-			case out = <-p.free:
-			case <-p.stop:
-				return
-			}
-			filter.FilterBlock(buf[:n], out[:n])
-			select {
-			case p.recs <- out[:n]:
+			case p.recs <- buf[:n]:
 			case <-p.stop:
 				return
 			}
@@ -258,10 +254,24 @@ func startProducer(filter *hier.Core, fill func(buf []mem.Access) (int, error)) 
 	return p
 }
 
+// filtered turns a stream fill into a producer fill that also runs
+// each chunk through filter's private levels (hier.Core.FilterBlock).
+func filtered(filter *hier.Core, fill func(buf []mem.Access) (int, error)) func(out []hier.Filtered) (int, error) {
+	raw := make([]mem.Access, chunkSize)
+	return func(out []hier.Filtered) (int, error) {
+		n, err := fill(raw[:len(out)])
+		if n == 0 || err != nil {
+			return 0, err
+		}
+		filter.FilterBlock(raw[:n], out[:n])
+		return n, nil
+	}
+}
+
 // halt stops the producer and waits for it to exit. Consumers defer it,
 // so a panic in the consumer (a policy fault in the LLC leg) leaves no
 // producer blocked on its channels. Call it once.
-func (p *producer) halt() {
+func (p *producer[T]) halt() {
 	close(p.stop)
 	<-p.done
 }

@@ -52,14 +52,21 @@ type Workload struct {
 // bulk-copied slice instead of re-running the kernel machinery per
 // access. Replayed and generated streams are identical by construction.
 func (w Workload) Generator(scale float64) trace.BatchGenerator {
-	n := int(float64(w.accesses) * scale)
-	if n < 1 {
-		n = 1
-	}
+	n := w.Accesses(scale)
 	if n <= streamMemoMaxAccesses {
 		return trace.NewReplay(w.stream(n))
 	}
 	return w.rawGenerator(n)
+}
+
+// Accesses returns the length of the workload's reference stream at
+// the given scale: the number of accesses Generator(scale) delivers.
+func (w Workload) Accesses(scale float64) int {
+	n := int(float64(w.accesses) * scale)
+	if n < 1 {
+		n = 1
+	}
+	return n
 }
 
 func (w Workload) rawGenerator(n int) *trace.Program {

@@ -3,7 +3,8 @@
 #
 # The campaign drive loops dispatch at block granularity: RunSingle's
 # producer runs hier.Core.FilterBlock over each chunk and its consumer
-# hands the LLC-bound records to cache.AccessBatch, RunSampledTrace
+# hands the LLC-bound records to cache.AccessBatch, MaterializeSampled
+# filters each window's accesses with FilterBlock, RunSampledTrace
 # replays windows through cache.AccessBatch, and RunMulticore filters
 # each core's stream through the same FilterBlock producer before the
 # ordered LLC merge. This guard fails when (a) one of those wiring
@@ -13,8 +14,6 @@
 #
 # Allowlisted per-access sites — each is per-access by necessity:
 #
-#   sampled.go   filter.Access(a)    stream materialization captures
-#                                    per-access via a generator observer
 #   multicore.go llc.Access(f.LLC)   the shared-LLC merge is inherently
 #                                    one record at a time (timestamp
 #                                    ordering across cores)
@@ -35,6 +34,8 @@ require internal/sim/sim.go '\.FilterBlock(' \
     "the drive-loop producer's private-level filter"
 require internal/sim/sim.go '\.AccessBatch(' \
     "RunSingle's batched LLC leg"
+require internal/sim/sampled.go 'filter\.FilterBlock(' \
+    "MaterializeSampled's batched window filter"
 require internal/sim/sampled.go 'llc\.AccessBatch(' \
     "RunSampledTrace's batched window replay"
 require internal/sim/multicore.go 'startProducer(' \
@@ -49,7 +50,6 @@ violations=$(grep -rn '\.Access(' internal/sim internal/figures \
     --include='*.go' \
   | grep -v '_test\.go:' \
   | grep -v '^internal/sim/diff\.go:' \
-  | grep -v 'filter\.Access(a)' \
   | grep -v 'llc\.Access(f\.LLC)' \
   || true)
 
