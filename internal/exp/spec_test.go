@@ -33,11 +33,11 @@ func TestSpecStringRoundTrip(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, s := range []string{
-		"policy",                         // not key=value
-		"policy=lru;policy=rrip",         // duplicate field
-		"banana=1",                       // unknown field
-		"policy=lru;cores=two",           // non-integer cores
-		"policy=lru;scale=fast",          // non-numeric scale
+		"policy",                 // not key=value
+		"policy=lru;policy=rrip", // duplicate field
+		"banana=1",               // unknown field
+		"policy=lru;cores=two",   // non-integer cores
+		"policy=lru;scale=fast",  // non-numeric scale
 	} {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", s)

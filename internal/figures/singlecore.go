@@ -66,13 +66,9 @@ func RunSingleCoreEnv(e *Env, scale float64) *SingleCore {
 }
 
 // OptimalMPKI runs Belady MIN with optimal bypass over a benchmark's
-// captured LLC stream and returns misses per kilo-instruction.
-//
-// The capture run installs a per-access stream observer, which makes
-// the hierarchy's drive loop fall back from the block-granular path to
-// scalar dispatch — one of the allowlisted per-access sites in
-// scripts/check_batch.sh. Every matrix campaign cell above runs
-// observer-free and rides hier.Core.AccessBlock.
+// captured LLC stream and returns misses per kilo-instruction. The
+// capture run takes RunSingle's one drive loop, which appends the
+// LLC-bound records it already compacts for its LLC leg.
 func OptimalMPKI(w workloads.Workload, scale float64) float64 {
 	cap := sim.RunSingle(w, LRUSpec().Make(1), sim.SingleOptions{Scale: scale, CaptureStream: true})
 	cfg := defaultLLC()

@@ -1,19 +1,14 @@
 package hier
 
-import (
-	"sdbp/internal/cache"
-	"sdbp/internal/mem"
-)
+import "sdbp/internal/mem"
 
 // This file is the hierarchy's block-granular surface. The drive loops
 // in internal/sim hand whole blocks of demand accesses to a core at
-// once: FilterBlock runs the private L1/L2 levels as one tight loop
-// (the multicore pre-filter, safe to run per-core in parallel), and
-// AccessBlock adds the LLC leg for single-owner LLCs. Both produce
-// state, statistics, and observer behaviour byte-identical to repeated
-// Access calls — pinned by the goldens and the policytest batch
-// differential — because no level ever reads another level's state
-// between accesses once write-back propagation is off.
+// once: FilterBlock runs the private L1/L2 levels as one tight loop and
+// returns the LLC-bound records, and the caller delivers them to its
+// LLC. The split is byte-identical to repeated Access calls — pinned by
+// the goldens and the policytest hierarchy differential — because no
+// level ever reads another level's state between accesses.
 
 // Filtered is one access's outcome through the private levels, in the
 // form the ordered LLC merge consumes: which private level satisfied it
@@ -75,14 +70,8 @@ func (f *Filtered) PrivateLevel() Level {
 // capture-only core: L1/L2 state, statistics, and LLC gap rewriting
 // advance exactly as per-access Access calls would, but the LLC — if
 // any — is untouched, and LLC-bound records are returned in the out
-// array rather than delivered anywhere. Because the caller owns
-// delivering the LLC leg, FilterBlock requires PropagateWritebacks off
-// (the capture and multicore configurations): propagated write-backs
-// interleave levels in ways a per-access record cannot carry.
+// array rather than delivered anywhere.
 func (c *Core) FilterBlock(as []mem.Access, out []Filtered) {
-	if c.writebacks {
-		panic("hier: FilterBlock requires PropagateWritebacks off")
-	}
 	out = out[:len(as)] // hoist the bounds check out of the loop
 	for i := range as {
 		a := &as[i]
@@ -128,67 +117,5 @@ func (c *Core) FilterBlock(as []mem.Access, out []Filtered) {
 		c.pendingGap = 0
 		f.LLC = llcA
 		out[i] = f
-	}
-}
-
-// AccessBlock sends a block of demand accesses down the hierarchy,
-// writing the level that satisfied each into levels (len(levels) >=
-// len(as)). It is exactly equivalent to calling Access per element:
-// when the core has observers, write-back propagation, or no LLC —
-// configurations where per-access interleaving is observable — it
-// degenerates to that loop; otherwise the private levels run as one
-// FilterBlock pass and only the LLC-bound subsequence touches the LLC,
-// which is safe because the L1, L2, and LLC each see their own access
-// subsequence in the same order either way and never read one
-// another's state between accesses.
-// BlockCapable reports whether the block-granular path is fully
-// engaged: write-back propagation off, an LLC present, and no
-// per-access observers. When false, AccessBlock degenerates to the
-// scalar loop, and drive loops that want to pipeline FilterBlock
-// against the LLC leg must not.
-func (c *Core) BlockCapable() bool {
-	return !c.writebacks && c.LLC != nil &&
-		c.onLLC == nil && c.onLLCMiss == nil && c.onLLCEvict == nil
-}
-
-func (c *Core) AccessBlock(as []mem.Access, levels []Level) {
-	if len(as) == 0 {
-		return
-	}
-	if !c.BlockCapable() {
-		levels = levels[:len(as)]
-		for i := range as {
-			levels[i] = c.Access(as[i])
-		}
-		return
-	}
-	if cap(c.filt) < len(as) {
-		c.filt = make([]Filtered, len(as))
-		c.llcAs = make([]mem.Access, len(as))
-		c.llcRs = make([]cache.Result, len(as))
-		c.llcIdx = make([]int32, len(as))
-	}
-	filt := c.filt[:len(as)]
-	c.FilterBlock(as, filt)
-	levels = levels[:len(as)]
-	n := 0
-	for i := range filt {
-		switch {
-		case filt[i].Flags&FL1Hit != 0:
-			levels[i] = LevelL1
-		case filt[i].Flags&FL2Hit != 0:
-			levels[i] = LevelL2
-		default:
-			levels[i] = LevelMemory
-			c.llcAs[n] = filt[i].LLC
-			c.llcIdx[n] = int32(i)
-			n++
-		}
-	}
-	c.LLC.AccessBatch(c.llcAs[:n], c.llcRs[:n])
-	for j := 0; j < n; j++ {
-		if c.llcRs[j].Hit {
-			levels[c.llcIdx[j]] = LevelLLC
-		}
 	}
 }

@@ -76,20 +76,36 @@ func TestL2FiltersLLCTraffic(t *testing.T) {
 	}
 }
 
+// llcBound returns the LLC-bound records FilterBlock wrote into recs.
+func llcBound(recs []Filtered) []mem.Access {
+	var out []mem.Access
+	for _, f := range recs {
+		if f.Flags&FLLCBound != 0 {
+			out = append(out, f.LLC)
+		}
+	}
+	return out
+}
+
 func TestCaptureGapAccounting(t *testing.T) {
-	c := newTestCore()
-	var captured []mem.Access
-	c.CaptureLLC(func(a mem.Access) { captured = append(captured, a) })
+	c := NewCore(DefaultConfig(), nil)
+	as := []mem.Access{
+		// First access: gap 4 -> LLC access with gap 4 (instructions
+		// before it: 4 non-memory).
+		{Addr: 0, Gap: 4},
+		// Two L1 hits (gap 2 and 3) then a new block (gap 1): the
+		// captured gap covers everything since the last LLC access:
+		// 2+1 + 3+1 + 1.
+		{Addr: 0, Gap: 2},
+		{Addr: 8, Gap: 3},
+		{Addr: 4096 * 64, Gap: 1},
+	}
+	// Two blocks: the gap counter carries across the block edge.
+	recs := make([]Filtered, len(as))
+	c.FilterBlock(as[:2], recs[:2])
+	c.FilterBlock(as[2:], recs[2:])
 
-	// First access: gap 4 -> LLC access with gap 4 (instructions before
-	// it: 4 non-memory).
-	c.Access(mem.Access{Addr: 0, Gap: 4})
-	// Two L1 hits (gap 2 and 3) then a new block (gap 1): the captured
-	// gap covers everything since the last LLC access: 2+1 + 3+1 + 1.
-	c.Access(mem.Access{Addr: 0, Gap: 2})
-	c.Access(mem.Access{Addr: 8, Gap: 3})
-	c.Access(mem.Access{Addr: 4096 * 64, Gap: 1})
-
+	captured := llcBound(recs)
 	if len(captured) != 2 {
 		t.Fatalf("captured %d LLC accesses, want 2", len(captured))
 	}
@@ -99,18 +115,33 @@ func TestCaptureGapAccounting(t *testing.T) {
 	if captured[1].Gap != 8 {
 		t.Errorf("second captured gap = %d, want 8 (2+1+3+1+1)", captured[1].Gap)
 	}
+	for i, f := range recs {
+		if f.Gap != as[i].Gap {
+			t.Errorf("record %d carries gap %d, want the access's own %d", i, f.Gap, as[i].Gap)
+		}
+	}
 }
 
+// TestCaptureMatchesLLCAccessCount checks FilterBlock's LLC-bound
+// records against what per-access Access delivers to an LLC: one
+// record per LLC access, and the same private-level statistics.
 func TestCaptureMatchesLLCAccessCount(t *testing.T) {
-	c := newTestCore()
-	n := 0
-	c.CaptureLLC(func(mem.Access) { n++ })
+	ref := newTestCore()
+	c := NewCore(DefaultConfig(), nil)
 	r := mem.NewRand(1)
-	for i := 0; i < 20000; i++ {
-		c.Access(mem.Access{Addr: uint64(r.Intn(1 << 16))})
+	as := make([]mem.Access, 20000)
+	for i := range as {
+		as[i] = mem.Access{Addr: uint64(r.Intn(1 << 16)), Gap: uint32(r.Intn(4))}
+		ref.Access(as[i])
 	}
-	if uint64(n) != c.LLC.Stats().Accesses {
-		t.Errorf("captured %d, LLC counted %d", n, c.LLC.Stats().Accesses)
+	recs := make([]Filtered, len(as))
+	c.FilterBlock(as, recs)
+	if n := uint64(len(llcBound(recs))); n != ref.LLC.Stats().Accesses {
+		t.Errorf("captured %d, LLC counted %d", n, ref.LLC.Stats().Accesses)
+	}
+	if c.L1.Stats() != ref.L1.Stats() || c.L2.Stats() != ref.L2.Stats() {
+		t.Errorf("FilterBlock L1 %+v L2 %+v, Access L1 %+v L2 %+v",
+			c.L1.Stats(), c.L2.Stats(), ref.L1.Stats(), ref.L2.Stats())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // The batch-vs-scalar differential: the block-granular access path
-// (cache.AccessBatch, cache.AccessPrivate, hier.Core.AccessBlock) is
+// (cache.AccessBatch, cache.AccessPrivate, hier.Core.FilterBlock) is
 // pinned byte-identical to the per-access path for every registry
 // policy spelling. The chunk size deliberately does not divide the
 // stream length, so every run also exercises a trailing short batch.
@@ -46,9 +46,9 @@ func TestBatchDifferential(t *testing.T) {
 }
 
 // TestHierBatchDifferential drives the raw demand stream through
-// hier.Core.AccessBlock and per-access Access for every registry
-// spelling, covering the private-level fast path (AccessPrivate) and
-// the LLC batch leg end to end.
+// hier.Core.FilterBlock + cache.AccessBatch and per-access Access for
+// every registry spelling, covering the private-level fast path
+// (AccessPrivate) and the LLC batch leg end to end.
 func TestHierBatchDifferential(t *testing.T) {
 	w, err := workloads.ByName(conformanceBench)
 	if err != nil {

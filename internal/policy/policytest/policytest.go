@@ -120,11 +120,12 @@ func BatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string
 
 // HierBatchDifferential drives the same raw demand stream through two
 // fresh full hierarchies under the same policy expression — one
-// per-access through hier.Core.Access, one in chunks through AccessBlock
-// (which routes the private levels through cache.AccessPrivate and the
-// LLC through AccessBatch) — and returns the first divergence in
-// satisfying levels, per-level statistics, or final tag state at any
-// level ("" when byte-identical).
+// per-access through hier.Core.Access, one in chunks the way the drive
+// loops run it: hier.Core.FilterBlock over the private levels (the
+// cache.AccessPrivate path), then cache.AccessBatch over the LLC-bound
+// records — and returns the first divergence in satisfying levels,
+// per-level statistics, or final tag state at any level ("" when
+// byte-identical).
 func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string {
 	p := exp.MustResolvePolicy(nameOrExpr)
 	scalarCore := hier.NewCore(hier.DefaultConfig(), cache.New(hier.LLCConfig(1), p.Make(1)))
@@ -135,12 +136,31 @@ func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) st
 		scalarLv[i] = scalarCore.Access(a)
 	}
 	batchLv := make([]hier.Level, len(stream))
+	recs := make([]hier.Filtered, chunk)
+	llcAs := make([]mem.Access, chunk)
+	llcRs := make([]cache.Result, chunk)
 	for lo := 0; lo < len(stream); lo += chunk {
-		hi := lo + chunk
-		if hi > len(stream) {
-			hi = len(stream)
+		hi := min(lo+chunk, len(stream))
+		batchCore.FilterBlock(stream[lo:hi], recs)
+		n := 0
+		for _, f := range recs[:hi-lo] {
+			if f.Flags&hier.FLLCBound != 0 {
+				llcAs[n] = f.LLC
+				n++
+			}
 		}
-		batchCore.AccessBlock(stream[lo:hi], batchLv[lo:hi])
+		batchCore.LLC.AccessBatch(llcAs[:n], llcRs[:n])
+		j := 0
+		for i, f := range recs[:hi-lo] {
+			lv := f.PrivateLevel()
+			if lv == hier.LevelMemory {
+				if llcRs[j].Hit {
+					lv = hier.LevelLLC
+				}
+				j++
+			}
+			batchLv[lo+i] = lv
+		}
 	}
 
 	for i := range scalarLv {

@@ -17,6 +17,7 @@ import (
 	"sdbp/internal/cpu"
 	"sdbp/internal/hier"
 	"sdbp/internal/mem"
+	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
 
@@ -73,33 +74,37 @@ func Run(w workloads.Workload, pol cache.Policy, cfg Config, scale float64) Resu
 	if cfg.Degree < 0 {
 		panic("prefetch: negative degree")
 	}
-	llc := cache.New(hier.LLCConfig(1), pol)
-	core := hier.NewCore(hier.DefaultConfig(), llc)
+	// The study reports no cache efficiency, so the LLC keeps none.
+	llcCfg := hier.LLCConfig(1)
+	llcCfg.SkipEfficiency = true
+	llc := cache.New(llcCfg, pol)
 	timing := cpu.New(cpu.DefaultConfig())
 
 	res := Result{Benchmark: w.Name, Policy: pol.Name()}
-	core.OnLLCMiss(func(a mem.Access) {
-		for i := 1; i <= cfg.Degree; i++ {
-			res.Issued++
-			p := a
-			p.Addr = mem.BlockAddr(a.Addr) + uint64(i)*mem.BlockSize
-			p.Write = false
-			if llc.InsertPrefetch(p) {
-				timing.ChargeDRAM()
+	sim.Filter(w, scale, func(recs []hier.Filtered) {
+		for i := range recs {
+			f := &recs[i]
+			level := f.PrivateLevel()
+			if level == hier.LevelMemory {
+				if llc.Access(f.LLC).Hit {
+					level = hier.LevelLLC
+				} else {
+					// A demand miss triggers the prefetcher before the
+					// access retires.
+					for d := 1; d <= cfg.Degree; d++ {
+						res.Issued++
+						p := f.LLC
+						p.Addr = mem.BlockAddr(f.LLC.Addr) + uint64(d)*mem.BlockSize
+						p.Write = false
+						if llc.InsertPrefetch(p) {
+							timing.ChargeDRAM()
+						}
+					}
+				}
 			}
+			timing.Record(f.Gap, level.Latency(), f.Flags&hier.FDep != 0)
 		}
 	})
-
-	gen := w.Generator(scale)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		level := core.Access(a)
-		timing.Record(a.Gap, level.Latency(), a.DependentLoad)
-	}
-	llc.Finish()
 
 	s := llc.Stats()
 	res.IPC = timing.IPC()

@@ -11,6 +11,8 @@
 //	       → singleflight → bounded admission queue
 //	       → coalescing batcher → runner pool → cache + checkpoint
 //
+// Stage by stage:
+//
 //   - The canonical spec expression (exp.Resolved.String) gives every
 //     experiment an exact content address; identical submissions — in
 //     any JSON spelling — share one cached result.

@@ -151,9 +151,11 @@ func TestCheckTraceRejects(t *testing.T) {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	broken := map[string]func([]obs.SpanRecord) []obs.SpanRecord{
-		"empty":       func(s []obs.SpanRecord) []obs.SpanRecord { return nil },
-		"no root":     func(s []obs.SpanRecord) []obs.SpanRecord { return s[1:] },
-		"two roots":   func(s []obs.SpanRecord) []obs.SpanRecord { return append(s, obs.SpanRecord{TraceID: "t1", ID: "9", Name: "job2", Start: t0, Duration: time.Millisecond}) },
+		"empty":   func(s []obs.SpanRecord) []obs.SpanRecord { return nil },
+		"no root": func(s []obs.SpanRecord) []obs.SpanRecord { return s[1:] },
+		"two roots": func(s []obs.SpanRecord) []obs.SpanRecord {
+			return append(s, obs.SpanRecord{TraceID: "t1", ID: "9", Name: "job2", Start: t0, Duration: time.Millisecond})
+		},
 		"bad parent":  func(s []obs.SpanRecord) []obs.SpanRecord { c := clone(s); c[2].Parent = "404"; return c },
 		"mixed trace": func(s []obs.SpanRecord) []obs.SpanRecord { c := clone(s); c[2].TraceID = "t2"; return c },
 		"unended":     func(s []obs.SpanRecord) []obs.SpanRecord { c := clone(s); c[2].Duration = 0; return c },

@@ -3,6 +3,7 @@ package sim
 import (
 	"sdbp/internal/cache"
 	"sdbp/internal/hier"
+	"sdbp/internal/mem"
 	"sdbp/internal/workloads"
 )
 
@@ -46,39 +47,37 @@ func (d DiffResult) GainRate() float64 {
 
 // CompareLLC runs one benchmark against two LLC policies in lockstep
 // and classifies every LLC access by its hit/miss outcome under each.
+// Both LLCs receive the same LLC-bound records, the ones RunSingle's
+// LLC receives.
 func CompareLLC(w workloads.Workload, polA, polB cache.Policy, opts SingleOptions) DiffResult {
 	opts.normalize()
-
-	llcA := cache.New(opts.LLC, polA)
-	llcB := cache.New(opts.LLC, polB)
-	// One hierarchy produces the canonical stream; cache B replays it.
-	core := hier.NewCore(hier.DefaultConfig(), llcA)
+	// Neither cache's efficiency is reported.
+	cfg := opts.LLC
+	cfg.SkipEfficiency = true
+	llcA := cache.New(cfg, polA)
+	llcB := cache.New(cfg, polB)
 
 	res := DiffResult{Benchmark: w.Name, PolicyA: polA.Name(), PolicyB: polB.Name()}
-	gen := w.Generator(opts.Scale)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
+	llcAs := make([]mem.Access, chunkSize)
+	rsA := make([]cache.Result, chunkSize)
+	rsB := make([]cache.Result, chunkSize)
+	Filter(w, opts.Scale, func(recs []hier.Filtered) {
+		n := llcBound(recs, llcAs)
+		llcA.AccessBatch(llcAs[:n], rsA[:n])
+		llcB.AccessBatch(llcAs[:n], rsB[:n])
+		for i := 0; i < n; i++ {
+			hitA, hitB := rsA[i].Hit, rsB[i].Hit
+			switch {
+			case hitA && hitB:
+				res.BothHit++
+			case hitA:
+				res.OnlyAHit++
+			case hitB:
+				res.OnlyBHit++
+			default:
+				res.BothMiss++
+			}
 		}
-		beforeA := llcA.Stats()
-		core.Access(a)
-		afterA := llcA.Stats()
-		if afterA.Accesses == beforeA.Accesses {
-			continue // satisfied above the LLC
-		}
-		hitA := afterA.Hits > beforeA.Hits
-		hitB := llcB.Access(a).Hit
-		switch {
-		case hitA && hitB:
-			res.BothHit++
-		case hitA:
-			res.OnlyAHit++
-		case hitB:
-			res.OnlyBHit++
-		default:
-			res.BothMiss++
-		}
-	}
+	})
 	return res
 }

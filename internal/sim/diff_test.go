@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
+	"sdbp/internal/cache"
 	"sdbp/internal/dbrb"
+	"sdbp/internal/mem"
 	"sdbp/internal/policy"
 	"sdbp/internal/predictor"
 	"sdbp/internal/workloads"
@@ -35,6 +38,41 @@ func TestCompareLLCMatchesIndependentRuns(t *testing.T) {
 	}
 	if gotB := d.BothHit + d.OnlyBHit; gotB != smp.LLC.Hits {
 		t.Errorf("B hits %d != independent sampler hits %d", gotB, smp.LLC.Hits)
+	}
+}
+
+// recorder is an LLC policy that records every access its cache
+// delivers to it.
+type recorder struct {
+	cache.Policy
+	seen []mem.Access
+}
+
+func (r *recorder) OnAccess(set uint32, a mem.Access) {
+	r.seen = append(r.seen, a)
+	r.Policy.OnAccess(set, a)
+}
+
+func TestCompareLLCFeedsBothCachesTheLLCStream(t *testing.T) {
+	// Both sides of the comparison must receive exactly the records
+	// RunSingle's LLC receives: the LLC-bound accesses in stream order,
+	// gap-rewritten.
+	w := hmmer(t)
+	a := &recorder{Policy: policy.NewLRU()}
+	b := &recorder{Policy: policy.NewLRU()}
+	CompareLLC(w, a, b, SingleOptions{Scale: testScale})
+	want := RunSingle(w, policy.NewLRU(), SingleOptions{Scale: testScale, CaptureStream: true}).Stream
+	if len(want) == 0 {
+		t.Fatal("no LLC traffic captured")
+	}
+	for _, side := range []struct {
+		name string
+		seen []mem.Access
+	}{{"A", a.seen}, {"B", b.seen}} {
+		if !reflect.DeepEqual(side.seen, want) {
+			t.Errorf("%s saw %d records, differs from the %d the LLC receives in RunSingle",
+				side.name, len(side.seen), len(want))
+		}
 	}
 }
 

@@ -32,19 +32,17 @@ type refResult struct {
 }
 
 // refRun is the per-access reference for sim.RunSingle: the scalar
-// generator, hier.Core.Access and cpu.Record one access at a time, the
-// captured stream from the hierarchy's CaptureLLC observer, and an
-// interval snapshot checked after every access. It shares no chunking,
-// goroutine or interval-cutting code with the drive loop; every > 0
-// turns interval telemetry on.
+// generator, hier.Core.Access and cpu.Record one access at a time, a
+// captured stream rebuilt from the levels Access reports and the
+// reference's own instruction-gap counter, and an interval snapshot
+// checked after every access. It shares no chunking, goroutine,
+// record-decoding or interval-cutting code with the drive loop;
+// every > 0 turns interval telemetry on.
 func refRun(w workloads.Workload, pol cache.Policy, scale float64, capture bool, every uint64) refResult {
 	llc := cache.New(refLLC, pol)
 	core := hier.NewCore(hier.DefaultConfig(), llc)
 	timing := cpu.New(cpu.DefaultConfig())
 	var r refResult
-	if capture {
-		core.CaptureLLC(func(a mem.Access) { r.stream = append(r.stream, a) })
-	}
 	acc, _ := pol.(interface{ Accuracy() dbrb.Accuracy })
 	var prevInstr, prevCycles uint64
 	var prevStats cache.Stats
@@ -75,13 +73,25 @@ func refRun(w workloads.Workload, pol cache.Policy, scale float64, capture bool,
 	}
 
 	next := every
+	var sinceLLC uint64 // instructions since the previous LLC access
 	gen := w.Generator(scale)
 	for {
 		a, ok := gen.Next()
 		if !ok {
 			break
 		}
+		sinceLLC += uint64(a.Gap) + 1
 		level := core.Access(a)
+		if level == hier.LevelLLC || level == hier.LevelMemory {
+			// The LLC received a with its gap counting every instruction
+			// before it since the previous LLC access.
+			if capture {
+				llcA := a
+				llcA.Gap = uint32(min(sinceLLC-1, 1<<32-1))
+				r.stream = append(r.stream, llcA)
+			}
+			sinceLLC = 0
+		}
 		timing.Record(a.Gap, level.Latency(), a.DependentLoad)
 		if every == 0 {
 			continue

@@ -15,12 +15,11 @@ import (
 	"sdbp/internal/mem"
 	"sdbp/internal/predictor"
 	"sdbp/internal/probe"
-	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
 
 // chunkSize is how many accesses cross a goroutine boundary at once, at
-// every producer in the package: RunSingle's, each of RunMulticore's
+// every producer in the package: Filter's, each of RunMulticore's
 // per-core prefilters, and MaterializeSampled's. Each handoff can cost a goroutine park and a
 // futex wake-up, so a chunk must be long enough for filtering it to
 // dwarf that; 256-access chunks were not (see EXPERIMENTS.md).
@@ -112,71 +111,25 @@ func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) Singl
 		ap = enableAttribution(pol)
 	}
 	llc := cache.New(opts.LLC, pol)
-	core := hier.NewCore(hier.DefaultConfig(), llc)
 	timing := cpu.New(cpu.DefaultConfig())
 	ps := newIntervalSampler(opts.Probe, llc, timing, pol)
 
 	res := SingleResult{Benchmark: w.Name, Policy: pol.Name()}
-	res.Stream = drive(w.Generator(opts.Scale), core, llc, timing, ps, opts.CaptureStream)
-	llc.Finish()
-
-	res.Instructions = timing.Instructions()
-	res.Cycles = uint64(timing.Cycles())
-	res.IPC = timing.IPC()
-	levels := core.Stats()
-	res.LLC = levels.LLC
-	res.L1 = levels.L1
-	res.L2 = levels.L2
-	if res.Instructions > 0 {
-		res.MPKI = float64(res.LLC.Misses) / (float64(res.Instructions) / 1000)
-	}
-	res.Efficiency = llc.Efficiency()
-	if opts.KeepLineEfficiencies {
-		res.LineEfficiencies = llc.LineEfficiencies()
-	}
-	fillAccuracy(&res, pol)
-	if ps != nil {
-		ps.finish()
-		res.Probe = buildSeries(&res, opts.Probe, ps.intervals, ap)
-	}
-	res.Duration = time.Since(start)
-	return res
-}
-
-// drive is RunSingle's one drive loop. A producer goroutine generates
-// the stream and runs it through the private levels (FilterBlock); this
-// goroutine consumes the filtered records, LLC leg then timing. The
-// split is byte-identical to per-access Access calls because each cache
-// still sees its own access subsequence in order, the private levels
-// never read LLC or timing state, and timing never feeds back.
-//
-// A probed run cuts each chunk just after every access that reaches the
-// interval sampler's next boundary and samples there, so the sampler
-// reads the same LLC, accuracy and timing state a per-access loop would.
-// With capture set, the LLC-bound records — the gap-rewritten accesses
-// the LLC receives — are returned in stream order.
-func drive(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *cpu.Core,
-	ps *intervalSampler, capture bool) []mem.Access {
-	p := startProducer(pipeBuffers, filtered(core, func(buf []mem.Access) (int, error) { return bg.NextBatch(buf), nil }))
-	defer p.halt()
-	var stream []mem.Access
 	llcAs := make([]mem.Access, chunkSize)
 	llcRs := make([]cache.Result, chunkSize)
-	for fb := range p.recs {
-		for rest := fb; len(rest) > 0; {
+	res.L1, res.L2 = Filter(w, opts.Scale, func(recs []hier.Filtered) {
+		// A probed run cuts each chunk just after every access that
+		// reaches the interval sampler's next boundary and samples
+		// there, so the sampler reads the same LLC, accuracy and timing
+		// state a per-access loop would.
+		for rest := recs; len(rest) > 0; {
 			seg := rest
 			if ps != nil {
 				seg = rest[:ps.cut(rest)]
 			}
-			n := 0
-			for i := range seg {
-				if seg[i].Flags&hier.FLLCBound != 0 {
-					llcAs[n] = seg[i].LLC
-					n++
-				}
-			}
-			if capture {
-				stream = append(stream, llcAs[:n]...)
+			n := llcBound(seg, llcAs)
+			if opts.CaptureStream {
+				res.Stream = append(res.Stream, llcAs[:n]...)
 			}
 			llc.AccessBatch(llcAs[:n], llcRs[:n])
 			j := 0
@@ -195,9 +148,69 @@ func drive(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *c
 			}
 			rest = rest[len(seg):]
 		}
-		p.free <- fb
+	})
+	llc.Finish()
+
+	res.Instructions = timing.Instructions()
+	res.Cycles = uint64(timing.Cycles())
+	res.IPC = timing.IPC()
+	res.LLC = llc.Stats()
+	if res.Instructions > 0 {
+		res.MPKI = float64(res.LLC.Misses) / (float64(res.Instructions) / 1000)
 	}
-	return stream
+	res.Efficiency = llc.Efficiency()
+	if opts.KeepLineEfficiencies {
+		res.LineEfficiencies = llc.LineEfficiencies()
+	}
+	fillAccuracy(&res, pol)
+	if ps != nil {
+		ps.finish()
+		res.Probe = buildSeries(&res, opts.Probe, ps.intervals, ap)
+	}
+	res.Duration = time.Since(start)
+	return res
+}
+
+// Filter is the single-core drive loop every single-core study shares.
+// A producer goroutine generates w's stream at scale and runs it through
+// a fresh private L1/L2 stack (hier.Core.FilterBlock); consume receives
+// the filtered records on the caller's goroutine, one chunk at a time
+// in stream order, and runs its own LLC leg and timing on them. A chunk
+// is valid only until consume returns. Filter returns the private
+// levels' statistics once the stream is exhausted.
+//
+// The split is byte-identical to per-access hier.Core.Access calls
+// because each cache still sees its own access subsequence in order,
+// the private levels never read LLC or timing state, and timing never
+// feeds back. Filter stops the producer before returning, also when
+// consume panics (a policy fault in the LLC leg), so no goroutine is
+// left blocked on its channels.
+func Filter(w workloads.Workload, scale float64, consume func(recs []hier.Filtered)) (l1, l2 cache.Stats) {
+	bg := w.Generator(scale)
+	core := hier.NewCore(hier.DefaultConfig(), nil)
+	p := startProducer(pipeBuffers, filtered(core, func(buf []mem.Access) (int, error) { return bg.NextBatch(buf), nil }))
+	defer p.halt()
+	for recs := range p.recs {
+		consume(recs)
+		p.free <- recs
+	}
+	// recs closes only after the producer's last FilterBlock call, so
+	// the private levels' statistics are final here.
+	return core.L1.Stats(), core.L2.Stats()
+}
+
+// llcBound compacts the LLC-bound records of recs — the gap-rewritten
+// accesses the LLC receives — into out (len(out) >= len(recs)) and
+// returns how many there were.
+func llcBound(recs []hier.Filtered, out []mem.Access) int {
+	n := 0
+	for i := range recs {
+		if recs[i].Flags&hier.FLLCBound != 0 {
+			out[n] = recs[i].LLC
+			n++
+		}
+	}
+	return n
 }
 
 // producer is a goroutine that fills chunks of records for a single

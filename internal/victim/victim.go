@@ -16,6 +16,7 @@ import (
 	"sdbp/internal/dbrb"
 	"sdbp/internal/hier"
 	"sdbp/internal/mem"
+	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
 
@@ -112,8 +113,10 @@ func (s *deadSnoop) OnEvict(set uint32, way int) {
 func Run(w workloads.Workload, mk func() *dbrb.Policy, vcSize int, filtered bool, scale float64) Result {
 	pol := mk()
 	snoop := &deadSnoop{Policy: pol}
-	llc := cache.New(hier.LLCConfig(1), snoop)
-	core := hier.NewCore(hier.DefaultConfig(), llc)
+	// The study reports no cache efficiency, so the LLC keeps none.
+	llcCfg := hier.LLCConfig(1)
+	llcCfg.SkipEfficiency = true
+	llc := cache.New(llcCfg, snoop)
 	timing := cpu.New(cpu.DefaultConfig())
 	vc := NewCache(vcSize)
 
@@ -123,34 +126,32 @@ func Run(w workloads.Workload, mk func() *dbrb.Policy, vcSize int, filtered bool
 	}
 	res := Result{Benchmark: w.Name, Config: cfg}
 
-	core.OnLLCEvict(func(evictedAddr uint64) {
-		if !filtered || !snoop.lastWasDead {
-			vc.Insert(evictedAddr)
+	var misses, instructions uint64
+	sim.Filter(w, scale, func(recs []hier.Filtered) {
+		for i := range recs {
+			f := &recs[i]
+			instructions += uint64(f.Gap) + 1
+			lat := f.PrivateLevel().Latency()
+			if f.Flags&hier.FLLCBound != 0 {
+				r := llc.Access(f.LLC)
+				// snoop has recorded the victim's verdict by now.
+				if r.Evicted && (!filtered || !snoop.lastWasDead) {
+					vc.Insert(r.EvictedAddr)
+				}
+				switch {
+				case r.Hit:
+					lat = hier.LevelLLC.Latency()
+				case vc.Lookup(f.LLC.Addr):
+					// The LLC missed but the victim buffer hit: a little
+					// over an LLC hit instead of a memory access.
+					lat = cpu.LatLLC + 4
+				default:
+					misses++
+				}
+			}
+			timing.Record(f.Gap, lat, f.Flags&hier.FDep != 0)
 		}
 	})
-
-	var misses, instructions uint64
-	gen := w.Generator(scale)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		instructions += uint64(a.Gap) + 1
-		before := llc.Stats().Misses
-		level := core.Access(a)
-		lat := level.Latency()
-		if llc.Stats().Misses > before {
-			// The LLC missed: probe the victim buffer. A hit costs a
-			// little over an LLC hit instead of a memory access.
-			if vc.Lookup(a.Addr) {
-				lat = cpu.LatLLC + 4
-			} else {
-				misses++
-			}
-		}
-		timing.Record(a.Gap, lat, a.DependentLoad)
-	}
 
 	res.IPC = timing.IPC()
 	if instructions > 0 {
