@@ -18,11 +18,15 @@ import (
 	"strings"
 	"testing"
 
+	"sdbp/internal/exp"
 	"sdbp/internal/figures"
 	"sdbp/internal/hier"
 	"sdbp/internal/mem"
+	"sdbp/internal/policy"
 	"sdbp/internal/power"
 	"sdbp/internal/predictor"
+	"sdbp/internal/probe"
+	"sdbp/internal/sampling"
 	"sdbp/internal/sim"
 	"sdbp/internal/stats"
 	"sdbp/internal/workloads"
@@ -279,6 +283,45 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		accesses += k
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+}
+
+// BenchmarkSampledReplay measures the sampled replay layer:
+// sim.RunSampledTrace under the Sampler policy over an every-interval
+// plan of the 456.hmmer ×0.1 stream. The plan is materialized before
+// the timer starts, so one op is one policy's replay (LLC leg and
+// timing leg) and ns/record excludes generation and private filtering;
+// a record is one warm-up or measured access of a window (not a paper
+// figure; a performance guard for the replay).
+func BenchmarkSampledReplay(b *testing.B) {
+	const scale, interval = 0.1, 100_000
+	w, err := workloads.ByName("456.hmmer")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sampler, err := exp.ResolvePolicy("Sampler")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pilot := sim.RunSingle(w, policy.NewLRU(), sim.SingleOptions{Scale: scale, Probe: &probe.Config{Interval: interval}})
+	plan, err := sampling.AllIntervals(pilot.Probe.Intervals, interval)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sim.MaterializeSampled(w, &plan, scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := 0
+	for _, win := range m.Windows {
+		records += len(win.Warm) + len(win.Measure)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunSampledTrace(m, sampler.Make(1), sim.SingleOptions{Scale: scale}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
 // BenchmarkExtensions runs the beyond-the-paper comparison: cache

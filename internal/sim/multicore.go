@@ -67,10 +67,8 @@ type mcCore struct {
 	cur []hier.Filtered
 	pos int
 
-	target    uint64 // first-pass instruction count
-	passInstr uint64
-	doneIPC   float64
-	done      bool
+	left    int // first-pass records not yet merged; 0 at the pass's last record
+	doneIPC float64
 }
 
 // next returns the core's next pre-filtered record in stream order,
@@ -81,9 +79,9 @@ func (c *mcCore) next() (hier.Filtered, error) {
 		if c.cur != nil {
 			c.src.free <- c.cur
 		}
-		chunk, ok := <-c.src.recs
-		if !ok {
-			return hier.Filtered{}, c.src.err
+		chunk, err := c.src.next()
+		if chunk == nil {
+			return hier.Filtered{}, err
 		}
 		c.cur, c.pos = chunk, 0
 	}
@@ -204,9 +202,7 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 		cores[i] = &mcCore{
 			timing: cpu.New(cpu.DefaultConfig()),
 			id:     i,
-			// First-pass length in instructions (gaps + one per access),
-			// memoized across runs so no second stream walk happens here.
-			target: w.Instructions(opts.Scale),
+			left:   w.Accesses(opts.Scale),
 			src:    startProducer(pipeBuffers, filtered(hier.NewCore(hier.DefaultConfig(), nil), prefill(i, mix.Name, w.Generator(opts.Scale)))),
 		}
 	}
@@ -229,11 +225,11 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 			level = hier.LevelLLC
 		}
 		next.timing.Record(f.Gap, level.Latency(), f.Flags&hier.FDep != 0)
-		next.passInstr += uint64(f.Gap) + 1
 		accumPrivate(&res, f.Flags)
 
-		if !next.done && next.passInstr >= next.target {
-			next.done = true
+		// A core's first pass ends on its stream's last record; left then
+		// runs negative through the restarted passes, never 0 again.
+		if next.left--; next.left == 0 {
 			next.doneIPC = next.timing.IPC()
 			res.Instructions[next.id] = next.timing.Instructions()
 			remaining--

@@ -148,7 +148,8 @@ func MaterializeSampled(w workloads.Workload, plan *sampling.Plan, scale float64
 	defer p.halt()
 	var cum uint64 // instructions retired before the current access
 	lo := 0        // first window whose End is still ahead of cum
-	for chunk := range p.recs {
+	// The fill never fails, so next's error is always nil.
+	for chunk, _ := p.next(); chunk != nil; chunk, _ = p.next() {
 		m.TotalAccesses += uint64(len(chunk))
 		for i := 0; i < len(chunk); {
 			after := cum + uint64(chunk[i].Gap) + 1
@@ -218,32 +219,72 @@ type SampledResult struct {
 	Duration time.Duration
 }
 
-// snapshot captures the counters a measured window's deltas are taken
-// over — the same state intervalSampler reads during full runs.
-type snapshot struct {
-	instr  uint64
-	cycles uint64
-	stats  cache.Stats
-	acc    dbrb.Accuracy
+// llcSnapshot is the LLC leg's half of a window-edge snapshot: the
+// counters a measured window's LLC deltas are taken over, the same
+// state intervalSampler reads during full runs.
+type llcSnapshot struct {
+	stats cache.Stats
+	acc   dbrb.Accuracy
 }
 
-func snap(llc *cache.Cache, timing *cpu.Core, acc accuracyProvider) snapshot {
-	s := snapshot{
-		instr:  timing.Instructions(),
-		cycles: uint64(timing.Cycles()),
-		stats:  llc.Stats(),
-	}
-	// Before the first instruction the timing model already reports the
-	// pipeline-fill cycles. The pilot's interval sampler charges those
-	// to interval 0 (its initial delta base is zero), so a measurement
-	// starting at instruction 0 must too.
-	if s.instr == 0 {
-		s.cycles = 0
-	}
+func snapLLC(llc *cache.Cache, acc accuracyProvider) llcSnapshot {
+	s := llcSnapshot{stats: llc.Stats()}
 	if acc != nil {
 		s.acc = acc.Accuracy()
 	}
 	return s
+}
+
+// timingAt is the timing leg's half of a window-edge snapshot.
+func timingAt(timing *cpu.Core) (instr, cycles uint64) {
+	// Before the first instruction the timing model already reports the
+	// pipeline-fill cycles. The pilot's interval sampler charges those
+	// to interval 0 (its initial delta base is zero), so a measurement
+	// starting at instruction 0 must too.
+	if instr = timing.Instructions(); instr > 0 {
+		cycles = uint64(timing.Cycles())
+	}
+	return instr, cycles
+}
+
+// llcLeg returns the sampled replay's LLC leg as a producer fill. Per
+// window it runs functional warming over Warm, then the measured
+// range's LLC-bound records with their gaps rewritten to LLCGap,
+// writing one hit bit per record into the chunk. It snapshots the LLC
+// at the measured range's edges into snaps[i]; a window's closing
+// snapshot can land after the chunk holding its last hit bit was sent,
+// so snaps is the consumer's only once the stream has ended.
+func llcLeg(wins []Window, llc *cache.Cache, acc accuracyProvider, snaps [][2]llcSnapshot) func(hits []bool) (int, error) {
+	i, j := 0, -1 // window, and next measured record (-1: not yet warmed)
+	return func(hits []bool) (int, error) {
+		n := 0
+		for ; i < len(wins); i++ {
+			win := &wins[i]
+			if j < 0 {
+				for _, a := range win.Warm {
+					llc.Access(a)
+				}
+				snaps[i][0] = snapLLC(llc, acc)
+				j = 0
+			}
+			for ; j < len(win.Measure); j++ {
+				ma := &win.Measure[j]
+				if ma.Level != hier.LevelMemory {
+					continue
+				}
+				if n == len(hits) {
+					return n, nil
+				}
+				a := ma.Access
+				a.Gap = ma.LLCGap
+				hits[n] = llc.Access(a).Hit
+				n++
+			}
+			snaps[i][1] = snapLLC(llc, acc)
+			j = -1
+		}
+		return n, nil
+	}
 }
 
 // RunSampledTrace replays materialized windows against one policy:
@@ -254,6 +295,15 @@ func snap(llc *cache.Cache, timing *cpu.Core, acc accuracyProvider) snapshot {
 // the LLC-bound stream plus the measured ranges' timing. The policy
 // must be freshly constructed (cache.New resets it), exactly as in
 // RunSingle.
+//
+// The two legs overlap: the LLC leg (llcLeg) runs on a producer
+// goroutine and hands over the measured hit bits a chunk at a time,
+// and the timing leg runs cpu.Record over each window's Measure on the
+// caller's goroutine. That is byte-identical to replaying a window's
+// LLC accesses and then its timing, because LLC state never reads the
+// timing model and each leg snapshots its own counters at window
+// edges. A panic in the policy reaches the caller as a panic (see
+// producer.next), and no goroutine outlives the call.
 func RunSampledTrace(m *Materialized, pol cache.Policy, opts SingleOptions) (SampledResult, error) {
 	opts.normalize()
 	if opts.CaptureStream || opts.KeepLineEfficiencies {
@@ -277,61 +327,61 @@ func RunSampledTrace(m *Materialized, pol cache.Policy, opts SingleOptions) (Sam
 		Policy:    pol.Name(),
 		Measured:  make([]probe.Interval, len(m.Windows)),
 	}
-	// Scratch for the measured ranges' LLC-bound subsequence, reused
-	// across windows. LLC state never depends on the timing model and
-	// snapshots are taken only at window boundaries, so batching the
-	// whole LLC leg ahead of the timing pass is byte-identical to the
-	// interleaved per-access replay.
-	var llcAs []mem.Access
-	var llcRs []cache.Result
+	snaps := make([][2]llcSnapshot, len(m.Windows))
+	p := startProducer(pipeBuffers, llcLeg(m.Windows, llc, acc, snaps))
+	defer p.halt()
+	var hits []bool
+	h := 0
 	for i := range m.Windows {
 		win := &m.Windows[i]
-		llc.AccessBatch(win.Warm, nil)
-		before := snap(llc, timing, acc)
-		if cap(llcAs) < len(win.Measure) {
-			llcAs = make([]mem.Access, len(win.Measure))
-			llcRs = make([]cache.Result, len(win.Measure))
-		}
-		n := 0
-		for j := range win.Measure {
-			ma := &win.Measure[j]
-			if ma.Level == hier.LevelMemory {
-				llcA := ma.Access
-				llcA.Gap = ma.LLCGap
-				llcAs[n] = llcA
-				n++
-			}
-		}
-		llc.AccessBatch(llcAs[:n], llcRs[:n])
-		n = 0
+		instr0, cycles0 := timingAt(timing)
 		for j := range win.Measure {
 			ma := &win.Measure[j]
 			level := ma.Level
 			if level == hier.LevelMemory {
-				if llcRs[n].Hit {
+				if h == len(hits) {
+					if hits != nil {
+						p.free <- hits
+					}
+					if hits, _ = p.next(); hits == nil { // the fill never fails
+						panic("sim: sampled replay's LLC leg ended before its last measured record")
+					}
+					h = 0
+				}
+				if hits[h] {
 					level = hier.LevelLLC
 				}
-				n++
+				h++
 			}
 			timing.Record(ma.Gap, level.Latency(), ma.DependentLoad)
 		}
-		after := snap(llc, timing, acc)
-		iv := probe.Interval{
-			Index:           i,
-			Instructions:    m.Plan.Picks[i].End,
-			DInstructions:   after.instr - before.instr,
-			DCycles:         after.cycles - before.cycles,
-			DAccesses:       after.stats.Accesses - before.stats.Accesses,
-			DHits:           after.stats.Hits - before.stats.Hits,
-			DMisses:         after.stats.Misses - before.stats.Misses,
-			DBypasses:       after.stats.Bypasses - before.stats.Bypasses,
-			DEvictions:      after.stats.Evictions - before.stats.Evictions,
-			DPredictions:    after.acc.Predictions - before.acc.Predictions,
-			DPositives:      after.acc.Positives - before.acc.Positives,
-			DFalsePositives: after.acc.FalsePositives - before.acc.FalsePositives,
+		instr1, cycles1 := timingAt(timing)
+		res.Measured[i] = probe.Interval{
+			Index:         i,
+			Instructions:  m.Plan.Picks[i].End,
+			DInstructions: instr1 - instr0,
+			DCycles:       cycles1 - cycles0,
 		}
+	}
+	if hits != nil {
+		p.free <- hits
+	}
+	// The LLC leg's snapshots and final state are the caller's once the
+	// stream has ended.
+	if extra, _ := p.next(); extra != nil {
+		panic("sim: sampled replay's LLC leg ran past the last measured record")
+	}
+	for i := range res.Measured {
+		iv, before, after := &res.Measured[i], &snaps[i][0], &snaps[i][1]
+		iv.DAccesses = after.stats.Accesses - before.stats.Accesses
+		iv.DHits = after.stats.Hits - before.stats.Hits
+		iv.DMisses = after.stats.Misses - before.stats.Misses
+		iv.DBypasses = after.stats.Bypasses - before.stats.Bypasses
+		iv.DEvictions = after.stats.Evictions - before.stats.Evictions
+		iv.DPredictions = after.acc.Predictions - before.acc.Predictions
+		iv.DPositives = after.acc.Positives - before.acc.Positives
+		iv.DFalsePositives = after.acc.FalsePositives - before.acc.FalsePositives
 		iv.ComputeRates()
-		res.Measured[i] = iv
 	}
 
 	est, err := m.Plan.Estimate(res.Measured, m.TotalInstructions, m.SimInstructions)

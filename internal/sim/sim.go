@@ -18,11 +18,13 @@ import (
 	"sdbp/internal/workloads"
 )
 
-// chunkSize is how many accesses cross a goroutine boundary at once, at
+// chunkSize is how many records cross a goroutine boundary at once, at
 // every producer in the package: Filter's, each of RunMulticore's
-// per-core prefilters, and MaterializeSampled's. Each handoff can cost a goroutine park and a
-// futex wake-up, so a chunk must be long enough for filtering it to
-// dwarf that; 256-access chunks were not (see EXPERIMENTS.md).
+// per-core prefilters, MaterializeSampled's generator, and
+// RunSampledTrace's LLC leg (one hit bit per measured LLC-bound
+// record). Each handoff can cost a goroutine park and a futex wake-up,
+// so a chunk must be long enough for producing it to dwarf that;
+// 256-access chunks were not (see EXPERIMENTS.md).
 const chunkSize = 4096
 
 // pipeBuffers is the number of chunk buffers circulating per drive-loop
@@ -190,7 +192,7 @@ func Filter(w workloads.Workload, scale float64, consume func(recs []hier.Filter
 	core := hier.NewCore(hier.DefaultConfig(), nil)
 	p := startProducer(pipeBuffers, filtered(core, func(buf []mem.Access) (int, error) { return bg.NextBatch(buf), nil }))
 	defer p.halt()
-	for recs := range p.recs {
+	for recs, _ := p.next(); recs != nil; recs, _ = p.next() { // the fill never fails
 		consume(recs)
 		p.free <- recs
 	}
@@ -214,16 +216,18 @@ func llcBound(recs []hier.Filtered, out []mem.Access) int {
 }
 
 // producer is a goroutine that fills chunks of records for a single
-// consumer: generated accesses, or for the drive loops accesses already
-// run through one core's private levels (see filtered). Whatever state
-// fill touches belongs to the producer alone until recs is closed;
-// chunk buffers transfer ownership through the recs and free channels.
+// consumer: generated accesses, accesses already run through one core's
+// private levels (see filtered), or the sampled replay's LLC hit bits.
+// Whatever state fill touches belongs to the producer alone until recs
+// is closed; chunk buffers transfer ownership through the recs and free
+// channels. Consumers receive through next.
 type producer[T any] struct {
-	recs chan []T // filled chunks in stream order; closed when the producer exits
-	free chan []T // recycled chunk buffers
-	err  error    // why the stream ended early; read only after recs is closed
-	stop chan struct{}
-	done chan struct{}
+	recs  chan []T // filled chunks in stream order; closed when the producer exits
+	free  chan []T // recycled chunk buffers
+	err   error    // why the stream ended early; read only after recs is closed
+	fault any      // what fill panicked with; read only after recs is closed
+	stop  chan struct{}
+	done  chan struct{}
 }
 
 // startProducer starts a producer with the given number (at least 2)
@@ -246,6 +250,10 @@ func startProducer[T any](buffers int, fill func(buf []T) (int, error)) *produce
 	go func() {
 		defer close(p.done)
 		defer close(p.recs)
+		// A panic in fill (policy code, on the sampled replay's LLC leg)
+		// ends the stream instead of the process; next raises it again
+		// on the consumer's goroutine.
+		defer func() { p.fault = recover() }()
 		for {
 			buf := <-p.free
 			buf = buf[:cap(buf)] // consumers return chunks as they got them
@@ -267,6 +275,22 @@ func startProducer[T any](buffers int, fill func(buf []T) (int, error)) *produce
 	return p
 }
 
+// next hands the consumer the next chunk in stream order, or nil once
+// the stream has ended, with the error that ended it early if any. If
+// fill panicked, next panics with the same value on the consumer's
+// goroutine, so the caller's recover sees a producer's fault the way it
+// sees one on its own goroutine. A chunk is the consumer's until it
+// sends it back on free.
+func (p *producer[T]) next() ([]T, error) {
+	if chunk, ok := <-p.recs; ok {
+		return chunk, nil
+	}
+	if p.fault != nil {
+		panic(p.fault)
+	}
+	return nil, p.err
+}
+
 // filtered turns a stream fill into a producer fill that also runs
 // each chunk through filter's private levels (hier.Core.FilterBlock).
 func filtered(filter *hier.Core, fill func(buf []mem.Access) (int, error)) func(out []hier.Filtered) (int, error) {
@@ -283,7 +307,8 @@ func filtered(filter *hier.Core, fill func(buf []mem.Access) (int, error)) func(
 
 // halt stops the producer and waits for it to exit. Consumers defer it,
 // so a panic in the consumer (a policy fault in the LLC leg) leaves no
-// producer blocked on its channels. Call it once.
+// producer blocked on its channels. A fill panic in a chunk the
+// consumer never asked for is dropped with that chunk. Call it once.
 func (p *producer[T]) halt() {
 	close(p.stop)
 	<-p.done

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"sdbp/internal/mem"
 	"sdbp/internal/policy"
 	"sdbp/internal/predictor"
+	"sdbp/internal/sampling"
 	"sdbp/internal/workloads"
 )
 
@@ -199,19 +202,27 @@ type faultyPolicy struct{ *policy.LRU }
 func (faultyPolicy) Name() string                  { return "faulty" }
 func (faultyPolicy) Victim(uint32, mem.Access) int { return -1 }
 
-// panics reports whether run panicked, recovering the panic as the
-// runner and sdbpd do for a failing job.
-func panics(run func()) (did bool) {
-	defer func() { did = recover() != nil }()
+// panicOf returns what run panicked with, recovering the panic as the
+// runner and sdbpd do for a failing job, or nil if run returned.
+func panicOf(run func()) (v any) {
+	defer func() { v = recover() }()
 	run()
-	return false
+	return nil
 }
 
-// TestPolicyPanicStopsProducers pins that a recovered policy panic
-// leaves no producer goroutine behind in either drive loop that starts
-// them: the goroutine count returns to its baseline.
+// TestPolicyPanicStopsProducers pins that a policy panic reaches the
+// caller's goroutine, where it can be recovered, and leaves no producer
+// goroutine behind in any drive loop that starts them: the goroutine
+// count returns to its baseline. RunSampledTrace runs the policy on its
+// producer, which must hand the panic over rather than crash the
+// process.
 func TestPolicyPanicStopsProducers(t *testing.T) {
 	small := cache.Config{Name: "LLC", SizeBytes: 64 << 10, Ways: 16}
+	plan := testPlan(t, 5_000, sampling.Config{Clusters: 3})
+	m, err := MaterializeSampled(hmmer(t), &plan, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
 	runs := []struct {
 		name string
 		run  func()
@@ -222,12 +233,21 @@ func TestPolicyPanicStopsProducers(t *testing.T) {
 		{"RunMulticore", func() {
 			RunMulticore(workloads.Mixes()[0], faultyPolicy{policy.NewLRU()}, MulticoreOptions{Scale: testScale, LLC: small})
 		}},
+		{"RunSampledTrace", func() {
+			RunSampledTrace(m, faultyPolicy{policy.NewLRU()}, SingleOptions{Scale: testScale, LLC: small})
+		}},
 	}
 	for _, r := range runs {
 		before := runtime.NumGoroutine()
-		if !panics(r.run) {
+		v := panicOf(r.run)
+		if v == nil {
 			t.Errorf("%s: the faulty policy did not panic", r.name)
 			continue
+		}
+		// The caller must see the policy's own fault, not a drive loop's
+		// complaint about a stream that ended early.
+		if msg := fmt.Sprint(v); !strings.Contains(msg, "policy faulty returned victim way -1") {
+			t.Errorf("%s: recovered %q, want the cache's check on the faulty policy's victim", r.name, msg)
 		}
 		// A halted producer closes done just before its goroutine returns,
 		// so allow it a moment to exit; a leaked one stays blocked.
