@@ -147,7 +147,10 @@ func TestGoldenSections(t *testing.T) {
 
 // TestGoldenOnlySubset pins that -only produces byte-for-byte the same
 // section output as the full run (the golden), so subsetting cannot
-// drift from the campaign.
+// drift from the campaign. table3, table4 and fig10 read many cells
+// that earlier sections of the full run already computed, served from
+// the campaign's memo; under -only they compute every cell fresh, and
+// both must match the same golden.
 func TestGoldenOnlySubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations; skipped with -short")
@@ -155,7 +158,7 @@ func TestGoldenOnlySubset(t *testing.T) {
 	if *update {
 		t.Skip("goldens are written by TestGoldenSections")
 	}
-	for _, section := range []string{"fig1", "table1", "victim"} {
+	for _, section := range []string{"fig1", "table1", "victim", "table3", "table4", "fig10"} {
 		out := runSuite(t, "-scale", goldenScale, "-only", section)
 		want, err := os.ReadFile(goldenPath(section))
 		if err != nil {

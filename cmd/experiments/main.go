@@ -267,32 +267,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	section("table1", func() { fmt.Fprint(stdout, figures.RenderTable1()) })
 	section("table2", func() { fmt.Fprint(stdout, figures.RenderTable2()) })
 
-	var sc *figures.SingleCore
-	needSC := run("fig4") || run("fig5") || run("fig9") || run("claim")
-	if needSC && ctx.Err() == nil {
-		sc = figures.RunSingleCoreEnv(env, *scale)
-	}
-	section("claim", func() { fmt.Fprint(stdout, sc.RenderClaim()) })
+	// Sections request their cells from the shared Env, which runs each
+	// distinct cell once: the first section that needs one pays for it
+	// (and its footer says so), and later sections read the memo.
+	section("claim", func() { fmt.Fprint(stdout, figures.RunSingleCoreEnv(env, *scale).RenderClaim()) })
 	section("fig1", func() { fmt.Fprint(stdout, figures.RunFig1Env(env, *scale).Render()) })
 	section("fig4", func() {
+		sc := figures.RunSingleCoreEnv(env, *scale)
 		fmt.Fprint(stdout, sc.RenderFig4())
 		labels, vals := sc.Fig4Summary()
 		fmt.Fprint(stdout, figures.SummaryChart("\nFigure 4 summary: amean misses normalized to LRU ('|' = LRU)", labels, vals))
 	})
 	section("fig5", func() {
+		sc := figures.RunSingleCoreEnv(env, *scale)
 		fmt.Fprint(stdout, sc.RenderFig5())
 		labels, vals := sc.Fig5Summary()
 		fmt.Fprint(stdout, figures.SummaryChart("\nFigure 5 summary: gmean speedup over LRU ('|' = LRU)", labels, vals))
 	})
 	section("fig6", func() { fmt.Fprint(stdout, figures.RunAblationEnv(env, *scale).Render()) })
-
-	var rb *figures.RandomBaseline
-	if (run("fig7") || run("fig8")) && ctx.Err() == nil {
-		rb = figures.RunRandomBaselineEnv(env, *scale)
-	}
-	section("fig7", func() { fmt.Fprint(stdout, rb.RenderFig7()) })
-	section("fig8", func() { fmt.Fprint(stdout, rb.RenderFig8()) })
-	section("fig9", func() { fmt.Fprint(stdout, sc.RenderFig9()) })
+	section("fig7", func() { fmt.Fprint(stdout, figures.RunRandomBaselineEnv(env, *scale).RenderFig7()) })
+	section("fig8", func() { fmt.Fprint(stdout, figures.RunRandomBaselineEnv(env, *scale).RenderFig8()) })
+	section("fig9", func() { fmt.Fprint(stdout, figures.RunSingleCoreEnv(env, *scale).RenderFig9()) })
 
 	section("fig10", func() {
 		mc := figures.RunMulticoreFigureEnv(env, figures.MulticorePolicies(), *scale)

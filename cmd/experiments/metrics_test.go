@@ -125,7 +125,9 @@ func rawSim(t *testing.T, manifest []byte) []byte {
 // scale-0.01 run's simulation section must reconcile exactly and be
 // byte-identical across runs and across GOMAXPROCS=1 vs the default
 // parallelism — worker scheduling must not leak into the deterministic
-// counters.
+// counters. The GOMAXPROCS=1 run also journals to a fresh -checkpoint,
+// which must not change the work done: it restores nothing, journals
+// every job it submits, and leaves the sim section byte-identical.
 func TestManifestFullSuiteDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full suite runs take ~30s; run without -short (CI has a dedicated step)")
@@ -138,13 +140,24 @@ func TestManifestFullSuiteDeterministic(t *testing.T) {
 	}
 
 	runtime.GOMAXPROCS(1)
-	m2, b2 := runManifest(t, "-scale", goldenScale)
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	m2, b2 := runManifest(t, "-scale", goldenScale, "-checkpoint", ckpt)
 	runtime.GOMAXPROCS(prev)
 	checkReconciles(t, m2)
+	if m2.Sim.Jobs.FromCheckpoint != 0 {
+		t.Errorf("run with a fresh checkpoint restored %d jobs from it", m2.Sim.Jobs.FromCheckpoint)
+	}
+	journal, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := uint64(bytes.Count(journal, []byte("\n"))); m2.Sim.Jobs.Submitted != lines {
+		t.Errorf("submitted %d jobs but journaled %d", m2.Sim.Jobs.Submitted, lines)
+	}
 
 	s1, s2 := rawSim(t, b1), rawSim(t, b2)
 	if !bytes.Equal(s1, s2) {
-		t.Errorf("sim sections differ between GOMAXPROCS=8 and GOMAXPROCS=1:\n%s\n---\n%s",
+		t.Errorf("sim sections differ between GOMAXPROCS=8 and GOMAXPROCS=1 with -checkpoint:\n%s\n---\n%s",
 			s1, s2)
 	}
 }

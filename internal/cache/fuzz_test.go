@@ -20,7 +20,8 @@ import (
 
 // decodeStream turns fuzz bytes into accesses: 5 bytes per access
 // (4 address bytes folded over a footprint a few times the cache, one
-// flag/PC byte). The decoder is total — every input is a valid stream.
+// flag/PC byte whose top bit is unused). The decoder is total — every
+// input is a valid stream.
 func decodeStream(data []byte) []mem.Access {
 	const rec = 5
 	out := make([]mem.Access, 0, len(data)/rec)
@@ -28,11 +29,10 @@ func decodeStream(data []byte) []mem.Access {
 		addr := uint64(data[i]) | uint64(data[i+1])<<8 | uint64(data[i+2])<<16 | uint64(data[i+3])<<24
 		fl := data[i+4]
 		out = append(out, mem.Access{
-			PC:        0x400000 + uint64(fl&0x3f)*4,
-			Addr:      addr,
-			Write:     fl&0x40 != 0,
-			Writeback: fl&0x80 != 0,
-			Gap:       uint32(fl & 7),
+			PC:    0x400000 + uint64(fl&0x3f)*4,
+			Addr:  addr,
+			Write: fl&0x40 != 0,
+			Gap:   uint32(fl & 7),
 		})
 	}
 	return out
@@ -41,7 +41,7 @@ func decodeStream(data []byte) []mem.Access {
 func FuzzCacheAccess(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})
-	// A seed with hits, conflict evictions, writes and a writeback.
+	// A seed with hits, conflict evictions and writes.
 	var seed []byte
 	for i := 0; i < 64; i++ {
 		seed = append(seed, byte(i*64), byte(i%4), 0, 0, byte(i))

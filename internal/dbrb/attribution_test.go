@@ -146,24 +146,3 @@ func TestAttributionDueling(t *testing.T) {
 			acc.Predictions, acc.Positives, acc.FalsePositives)
 	}
 }
-
-// TestAttributionWritebackFills pins the PC-0 convention: lines filled
-// by writebacks (no PC) charge their eventual eviction to PC 0.
-func TestAttributionWritebackFills(t *testing.T) {
-	pol := New(policy.NewLRU(), predictor.NewSampler(predictor.DefaultSamplerConfig()))
-	pol.EnableAttribution()
-	c := cache.New(cache.Config{Name: "LLC", SizeBytes: 4 << 10, Ways: 4}, pol)
-	// Fill a set with writebacks, then force evictions with demand
-	// misses mapping to the same sets.
-	for i := 0; i < 64; i++ {
-		c.Access(mem.Access{Addr: uint64(i) * mem.BlockSize, Write: true, Writeback: true})
-	}
-	for i := 0; i < 256; i++ {
-		c.Access(mem.Access{Addr: 1<<20 + uint64(i)*mem.BlockSize, PC: 0x400500})
-	}
-	at := pol.Attribution()
-	i, ok := at.index[0]
-	if !ok || at.arena[i].Evictions == 0 {
-		t.Error("no evictions charged to PC 0 after writeback fills were displaced")
-	}
-}

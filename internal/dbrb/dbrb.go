@@ -19,11 +19,8 @@ type Policy struct {
 
 	ways int
 	// flags is the per-line metadata arena, one byte per LLC line:
-	// fDead is the dead bit (the 1 bit/line of cache metadata), and
-	// fTracked marks lines whose predictor per-block state is valid —
-	// demand fills set it, writeback fills clear it, so evictions of
-	// writeback-filled lines do not train the predictor on stale state.
-	// One flat byte array keeps the victim scan to one load per way.
+	// fDead is the dead bit (the 1 bit/line of cache metadata). One flat
+	// byte array keeps the victim scan to one load per way.
 	flags []uint8
 
 	acc Accuracy
@@ -36,11 +33,8 @@ type Policy struct {
 	attrEnabled bool
 }
 
-// Per-line flag bits in Policy.flags.
-const (
-	fDead uint8 = 1 << iota
-	fTracked
-)
+// fDead is the dead bit in Policy.flags.
+const fDead uint8 = 1
 
 // Accuracy tallies the prediction quality measures of the paper's
 // Figure 9. Coverage is positive predictions over all predictions (one
@@ -108,23 +102,16 @@ func (p *Policy) Reset(sets, ways int) {
 
 func (p *Policy) idx(set uint32, way int) int { return int(set)*p.ways + way }
 
-// OnAccess implements cache.Policy: the predictor observes every demand
+// OnAccess implements cache.Policy: the predictor observes every
 // access (the sampling predictor maintains its sampler here).
-// Writebacks carry no PC and are invisible to the predictor.
 func (p *Policy) OnAccess(set uint32, a mem.Access) {
 	p.base.OnAccess(set, a)
-	if !a.Writeback {
-		p.pred.OnAccess(set, a)
-	}
+	p.pred.OnAccess(set, a)
 }
 
 // Bypass implements cache.Policy: a block predicted dead on arrival is
-// not placed. Writebacks are never bypassed (dropping one would lose
-// the only copy of dirty data).
+// not placed.
 func (p *Policy) Bypass(set uint32, a mem.Access) bool {
-	if a.Writeback {
-		return false
-	}
 	dead := p.pred.PredictArriving(set, a)
 	p.acc.Predictions++
 	if dead {
@@ -171,34 +158,9 @@ func (p *Policy) Victim(set uint32, a mem.Access) int {
 
 // OnHit implements cache.Policy: a hit on a block standing predicted
 // dead is a false positive; the block's dead bit then refreshes from the
-// predictor. Writeback hits update nothing in the predictor and leave
-// the dead bit as it stands (a writeback is not a use of the data).
+// predictor.
 func (p *Policy) OnHit(set uint32, way int, a mem.Access) {
-	if a.Writeback {
-		p.base.OnHit(set, way, a)
-		return
-	}
 	i := p.idx(set, way)
-	if p.flags[i]&fTracked == 0 {
-		// First demand touch of a writeback-filled line: the predictor
-		// starts tracking it as if filled now.
-		dead := p.pred.OnFill(set, way, a)
-		p.flags[i] = fTracked
-		p.acc.Predictions++
-		if dead {
-			p.flags[i] = fTracked | fDead
-			p.acc.Positives++
-		}
-		if p.attr != nil {
-			p.attr.predicted(a.PC, dead)
-			p.attr.fillPC[i] = a.PC
-			if dead {
-				p.attr.deadPC[i] = a.PC
-			}
-		}
-		p.base.OnHit(set, way, a)
-		return
-	}
 	if p.flags[i]&fDead != 0 {
 		p.acc.FalsePositives++
 		if p.attr != nil {
@@ -209,9 +171,9 @@ func (p *Policy) OnHit(set uint32, way int, a mem.Access) {
 	p.acc.Predictions++
 	if d {
 		p.acc.Positives++
-		p.flags[i] = fTracked | fDead
+		p.flags[i] = fDead
 	} else {
-		p.flags[i] = fTracked
+		p.flags[i] = 0
 	}
 	if p.attr != nil {
 		p.attr.predicted(a.PC, d)
@@ -222,26 +184,20 @@ func (p *Policy) OnHit(set uint32, way int, a mem.Access) {
 	p.base.OnHit(set, way, a)
 }
 
-// OnFill implements cache.Policy. Writeback fills start with a clear
-// dead bit and do not touch the predictor.
+// OnFill implements cache.Policy: the predictor sets the filled
+// block's dead bit.
 func (p *Policy) OnFill(set uint32, way int, a mem.Access) {
 	i := p.idx(set, way)
-	if a.Writeback {
-		p.flags[i] = 0
-		if p.attr != nil {
-			p.attr.fillPC[i] = 0
-		}
+	dead := p.pred.OnFill(set, way, a)
+	if dead {
+		p.flags[i] = fDead
 	} else {
-		dead := p.pred.OnFill(set, way, a)
-		p.flags[i] = fTracked
+		p.flags[i] = 0
+	}
+	if p.attr != nil {
+		p.attr.fillPC[i] = a.PC
 		if dead {
-			p.flags[i] = fTracked | fDead
-		}
-		if p.attr != nil {
-			p.attr.fillPC[i] = a.PC
-			if dead {
-				p.attr.deadPC[i] = a.PC
-			}
+			p.attr.deadPC[i] = a.PC
 		}
 	}
 	p.base.OnFill(set, way, a)
@@ -252,9 +208,7 @@ func (p *Policy) OnFill(set uint32, way int, a mem.Access) {
 // feedback mildly beneficial).
 func (p *Policy) OnEvict(set uint32, way int) {
 	i := p.idx(set, way)
-	if p.flags[i]&fTracked != 0 {
-		p.pred.OnEvict(set, way)
-	}
+	p.pred.OnEvict(set, way)
 	p.flags[i] = 0
 	if p.attr != nil {
 		p.attr.evicted(p.attr.fillPC[i])

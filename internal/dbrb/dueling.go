@@ -46,9 +46,7 @@ func (p *Dueling) useDBRB(set uint32) bool { return p.duel.ChooseB(set) }
 // predictor still observes and trains on every access either way —
 // training is sampled and cheap; only the *interventions* are dueled.
 func (p *Dueling) Bypass(set uint32, a mem.Access) bool {
-	if !a.Writeback {
-		p.duel.OnMiss(set)
-	}
+	p.duel.OnMiss(set)
 	if !p.useDBRB(set) {
 		// Keep predictor accounting consistent: record the prediction
 		// without acting on it.

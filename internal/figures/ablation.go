@@ -25,11 +25,11 @@ func RunAblation(scale float64) *Ablation {
 // RunAblationEnv is RunAblation on a shared environment.
 func RunAblationEnv(e *Env, scale float64) *Ablation {
 	benches := sortedNames(workloads.Subset())
-	specs := []PolicySpec{LRUSpec()}
+	specs := []exp.Policy{LRUSpec()}
 	for _, name := range AblationOrder {
 		specs = append(specs, preset(name))
 	}
-	m := RunMatrixEnv(e, "ablation", benches, specs, sim.SingleOptions{Scale: scale})
+	m := RunMatrixEnv(e, benches, specs, sim.SingleOptions{Scale: scale})
 
 	lru := m.Series("LRU", func(r sim.SingleResult) float64 { return r.IPC })
 	ab := &Ablation{Speedup: make(map[string]float64)}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sdbp/internal/cache"
 	"sdbp/internal/exp"
 	"sdbp/internal/runner"
 	"sdbp/internal/sim"
@@ -36,15 +35,20 @@ type Adhoc struct {
 	Sampled []SampledCell
 }
 
-// RunAdhocEnv runs a resolved spec on a shared environment.
+// RunAdhocEnv runs a resolved spec on a shared environment. Its runs
+// are the same cells as the paper's figures: a default-geometry
+// single-core run of a preset over a subset benchmark, or of LRU, is
+// the figure sweep's cell, so one Env (and one checkpoint journal)
+// serves both.
 func RunAdhocEnv(e *Env, r *exp.Resolved) *Adhoc {
 	label := r.Policy.Name
 	if label == "LRU" {
-		// The baseline column is already named LRU; keep the checkpoint
-		// keys distinct.
+		// The baseline column is already named LRU.
 		label = "LRU (spec)"
 	}
 	a := &Adhoc{Spec: r.String(), Label: label}
+	pol := r.Policy
+	pol.Name = label
 
 	if r.Sampled {
 		// Sampled mode: the pilot/selection/materialization is cached
@@ -74,22 +78,11 @@ func RunAdhocEnv(e *Env, r *exp.Resolved) *Adhoc {
 	}
 
 	if len(r.Workloads) > 0 {
-		// Zero opts.LLC means the simulator's default geometry — the same
-		// option value the paper's figures pass — so a default-geometry
-		// ad-hoc run shares checkpoint cells with the figure sweeps.
-		opts := sim.SingleOptions{Scale: r.Scale}
-		if r.LLCSet || r.Cores != 1 {
-			opts.LLC = r.LLCFor(r.Cores)
-		}
-		specs := []PolicySpec{
-			LRUSpec(),
-			{Name: label, Make: func(int) cache.Policy { return r.Policy.Make(r.Cores) }},
-		}
-		a.Matrix = RunMatrixEnv(e, "adhoc", r.Workloads, specs, opts)
+		opts := sim.SingleOptions{Scale: r.Scale, LLC: r.LLCFor(r.Cores)}
+		a.Matrix = runMatrix(e, r.Workloads, []exp.Policy{LRUSpec(), pol}, r.Cores, opts)
 	}
 	if len(r.Mixes) > 0 {
-		specs := []PolicySpec{{Name: label, Make: r.Policy.Make}}
-		a.Mixes = runMulticore(e, r.Mixes, specs, r.Scale, r.LLCFor(4))
+		a.Mixes = runMulticore(e, r.Mixes, []exp.Policy{pol}, r.Scale, r.LLCFor(4))
 	}
 	return a
 }
@@ -154,7 +147,7 @@ func (a *Adhoc) renderBenches() string {
 			fmtVal("%.3f", nm),
 			fmtVal("%.3f", sp),
 		}
-		if r, ok := m.Results[cell{b, a.Label}]; ok && r.Accuracy != nil {
+		if r, ok := m.Results[coord{b, a.Label}]; ok && r.Accuracy != nil {
 			row = append(row,
 				fmt.Sprintf("%.1f", r.Accuracy.Coverage()*100),
 				fmt.Sprintf("%.1f", r.Accuracy.FalsePositiveRate()*100))

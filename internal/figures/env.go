@@ -9,7 +9,6 @@ import (
 
 	"sdbp/internal/obs"
 	"sdbp/internal/runner"
-	"sdbp/internal/sim"
 	"sdbp/internal/stats"
 )
 
@@ -17,9 +16,11 @@ import (
 // per-job timeout, retry budget, checkpoint journal and progress
 // callback — through every figure, table and sweep. One Env spans a
 // whole campaign, accumulating every job failure so the caller can
-// render a failure summary and choose its exit status. The zero-ish
-// value from DefaultEnv runs everything inline with no timeout,
-// checkpoint or progress, matching the pre-runner behavior.
+// render a failure summary and choose its exit status, and memoizing
+// every completed cell so a simulation that several figures read runs
+// once (see runCells). The zero-ish value from DefaultEnv runs
+// everything inline with no timeout, checkpoint or progress, matching
+// the pre-runner behavior; a fresh Env shares nothing with another.
 type Env struct {
 	// Ctx cancels the campaign; nil means context.Background().
 	Ctx context.Context
@@ -43,6 +44,9 @@ type Env struct {
 
 	mu       sync.Mutex
 	failures []*runner.JobError
+	// memo holds every cell result this Env completed, by cell key
+	// (see runCells); made on first use.
+	memo map[string]any
 }
 
 // DefaultEnv returns an Env that runs everything with no timeout,
@@ -73,6 +77,24 @@ func (e *Env) note(errs []*runner.JobError) {
 	e.mu.Lock()
 	e.failures = append(e.failures, errs...)
 	e.mu.Unlock()
+}
+
+// recall returns a memoized cell result.
+func (e *Env) recall(key string) (any, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v, ok := e.memo[key]
+	return v, ok
+}
+
+// remember memoizes a completed cell result for the Env's lifetime.
+func (e *Env) remember(key string, v any) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.memo == nil {
+		e.memo = make(map[string]any)
+	}
+	e.memo[key] = v
 }
 
 // Failures returns every job failure recorded so far, in completion
@@ -158,15 +180,10 @@ func geoMeanFinite(xs []float64) float64 {
 	return stats.GeoMean(xs)
 }
 
-// scaleOr1 normalizes a stream-scale for checkpoint keys (0 means 1).
+// scaleOr1 normalizes a stream-scale for job keys (0 means 1).
 func scaleOr1(s float64) float64 {
 	if s == 0 {
 		return 1
 	}
 	return s
-}
-
-// optKey canonicalizes the geometry part of a checkpoint key.
-func optKey(o sim.SingleOptions) string {
-	return fmt.Sprintf("s=%g|llc=%d.%d", scaleOr1(o.Scale), o.LLC.SizeBytes, o.LLC.Ways)
 }

@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 
+	"sdbp/internal/exp"
 	"sdbp/internal/sim"
 	"sdbp/internal/stats"
 	"sdbp/internal/workloads"
@@ -16,18 +17,18 @@ import (
 
 // ExtensionPolicies returns the extension comparison set (labels are
 // abbreviated to fit the table's columns).
-func ExtensionPolicies() []PolicySpec {
-	return []PolicySpec{
+func ExtensionPolicies() []exp.Policy {
+	return []exp.Policy{
 		preset("Bursts"),
 		preset("AIP"),
-		presetAs("SmpCount", "SamplingCounting"),
+		labeled("SmpCount", "SamplingCounting"),
 		preset("TimeBased"),
-		presetAs("DuelSmp", "Dueling Sampler"),
+		labeled("DuelSmp", "Dueling Sampler"),
 		preset("PLRU"),
-		presetAs("PLRU+S", "PLRU Sampler"),
+		labeled("PLRU+S", "PLRU Sampler"),
 		preset("SHiP"),
-		presetAs("SkewDBP", "Skewed DBP"),
-		presetAs("ImpDBP", "Improved DBP"),
+		labeled("SkewDBP", "Skewed DBP"),
+		labeled("ImpDBP", "Improved DBP"),
 		preset("Sampler"),
 	}
 }
@@ -47,8 +48,8 @@ func RunExtensions(scale float64) *Extensions {
 func RunExtensionsEnv(e *Env, scale float64) *Extensions {
 	benches := sortedNames(workloads.Subset())
 	return &Extensions{
-		Matrix: RunMatrixEnv(e, "extensions", benches, ExtensionPolicies(), sim.SingleOptions{Scale: scale}),
-		LRU:    RunMatrixEnv(e, "extensions-lru", benches, []PolicySpec{LRUSpec()}, sim.SingleOptions{Scale: scale}),
+		Matrix: RunMatrixEnv(e, benches, ExtensionPolicies(), sim.SingleOptions{Scale: scale}),
+		LRU:    RunMatrixEnv(e, benches, []exp.Policy{LRUSpec()}, sim.SingleOptions{Scale: scale}),
 	}
 }
 
@@ -93,12 +94,12 @@ func SamplerSetsSweep(scale float64, setCounts []int) map[int]float64 {
 // SamplerSetsSweepEnv is SamplerSetsSweep on a shared environment.
 func SamplerSetsSweepEnv(e *Env, scale float64, setCounts []int) map[int]float64 {
 	benches := sortedNames(workloads.Subset())
-	specs := []PolicySpec{LRUSpec()}
+	specs := []exp.Policy{LRUSpec()}
 	for _, n := range setCounts {
-		specs = append(specs, exprSpec(fmt.Sprintf("sets-%d", n),
+		specs = append(specs, labeled(fmt.Sprintf("sets-%d", n),
 			fmt.Sprintf("dbrb(base=lru,pred=sampler(sets=%d))", n)))
 	}
-	m := RunMatrixEnv(e, "sweep-sets", benches, specs, sim.SingleOptions{Scale: scale})
+	m := RunMatrixEnv(e, benches, specs, sim.SingleOptions{Scale: scale})
 	lru := m.Series("LRU", func(r sim.SingleResult) float64 { return r.IPC })
 	out := make(map[int]float64, len(setCounts))
 	for _, n := range setCounts {
@@ -119,12 +120,12 @@ func ThresholdSweep(scale float64, thresholds []int) map[int]float64 {
 // ThresholdSweepEnv is ThresholdSweep on a shared environment.
 func ThresholdSweepEnv(e *Env, scale float64, thresholds []int) map[int]float64 {
 	benches := sortedNames(workloads.Subset())
-	specs := []PolicySpec{LRUSpec()}
+	specs := []exp.Policy{LRUSpec()}
 	for _, th := range thresholds {
-		specs = append(specs, exprSpec(fmt.Sprintf("thr-%d", th),
+		specs = append(specs, labeled(fmt.Sprintf("thr-%d", th),
 			fmt.Sprintf("dbrb(base=lru,pred=sampler(threshold=%d))", th)))
 	}
-	m := RunMatrixEnv(e, "sweep-threshold", benches, specs, sim.SingleOptions{Scale: scale})
+	m := RunMatrixEnv(e, benches, specs, sim.SingleOptions{Scale: scale})
 	lru := m.Series("LRU", func(r sim.SingleResult) float64 { return r.IPC })
 	out := make(map[int]float64, len(thresholds))
 	for _, th := range thresholds {

@@ -3,6 +3,8 @@ package figures
 import (
 	"strings"
 	"testing"
+
+	"sdbp/internal/exp"
 )
 
 func TestExtensionPoliciesBuild(t *testing.T) {
@@ -100,7 +102,7 @@ func TestMulticoreFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	mc := RunMulticoreFigure([]PolicySpec{MulticorePolicies()[4]}, 0.002) // Sampler only
+	mc := RunMulticoreFigure([]exp.Policy{MulticorePolicies()[4]}, 0.002) // Sampler only
 	if len(mc.Mixes) != 10 {
 		t.Fatalf("mixes = %d", len(mc.Mixes))
 	}

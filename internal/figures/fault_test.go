@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdbp/internal/cache"
+	"sdbp/internal/exp"
 	"sdbp/internal/runner"
 	"sdbp/internal/sampling"
 	"sdbp/internal/sim"
@@ -15,9 +16,10 @@ import (
 )
 
 // faultySpec is an injected policy whose construction panics, the way
-// a bad geometry or sampler config does in production code.
-func faultySpec() PolicySpec {
-	return PolicySpec{"Faulty", func(int) cache.Policy {
+// a bad geometry or sampler config does in production code. Its Expr
+// is test-only: it names the faulty cells apart from every real one.
+func faultySpec() exp.Policy {
+	return exp.Policy{Name: "Faulty", Expr: "test-faulty", Make: func(int) cache.Policy {
 		panic("injected: invalid policy configuration")
 	}}
 }
@@ -32,8 +34,8 @@ func TestFaultInjectionMatrix(t *testing.T) {
 	}
 	env := DefaultEnv()
 	benches := sortedNames(workloads.All()) // all 29 benchmarks
-	specs := []PolicySpec{LRUSpec(), faultySpec()}
-	m := RunMatrixEnv(env, "fault-test", benches, specs, sim.SingleOptions{Scale: tinyScale})
+	specs := []exp.Policy{LRUSpec(), faultySpec()}
+	m := RunMatrixEnv(env, benches, specs, sim.SingleOptions{Scale: tinyScale})
 
 	if len(m.Benchmarks) != 29 {
 		t.Fatalf("benchmarks = %d, want 29", len(m.Benchmarks))
@@ -78,7 +80,7 @@ func TestHungJobTimeoutInMatrix(t *testing.T) {
 	env := DefaultEnv()
 	env.Timeout = time.Nanosecond
 	benches := sortedNames(workloads.Subset())[:2]
-	m := RunMatrixEnv(env, "timeout-test", benches, []PolicySpec{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
+	m := RunMatrixEnv(env, benches, []exp.Policy{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
 	for _, b := range m.Benchmarks {
 		if m.Err(b, "LRU") == nil {
 			t.Errorf("cell (%s, LRU) beat a 1ns timeout", b)
@@ -96,7 +98,7 @@ func TestHungJobTimeoutInMatrix(t *testing.T) {
 // must produce identical results. Run under -race in CI.
 func TestMatrixDeterministicUnderParallelism(t *testing.T) {
 	benches := sortedNames(workloads.Subset())[:4]
-	specs := append([]PolicySpec{LRUSpec()}, StandardPolicies()[:2]...)
+	specs := append([]exp.Policy{LRUSpec()}, StandardPolicies()[:2]...)
 	run := func() *Matrix {
 		m := RunMatrix(benches, specs, sim.SingleOptions{Scale: tinyScale})
 		// Duration is wall-clock observability metadata, not simulated
@@ -124,7 +126,7 @@ func TestMatrixDeterministicUnderParallelism(t *testing.T) {
 func TestResumeRendersByteForByte(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "figures.ckpt")
 	benches := sortedNames(workloads.Subset())[:3]
-	specs := append([]PolicySpec{LRUSpec()}, StandardPolicies()[:2]...)
+	specs := append([]exp.Policy{LRUSpec()}, StandardPolicies()[:2]...)
 	opts := sim.SingleOptions{Scale: tinyScale}
 
 	ck, err := runner.OpenCheckpoint(path, false)
@@ -133,7 +135,7 @@ func TestResumeRendersByteForByte(t *testing.T) {
 	}
 	env1 := DefaultEnv()
 	env1.Checkpoint = ck
-	m1 := RunMatrixEnv(env1, "resume-test", benches, specs, opts)
+	m1 := RunMatrixEnv(env1, benches, specs, opts)
 	rb1 := &RandomBaseline{Matrix: m1, LRU: m1}
 	first := rb1.RenderFig7() + rb1.RenderFig8()
 	if env1.Failed() {
@@ -148,15 +150,17 @@ func TestResumeRendersByteForByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ck2.Close()
-	tripwire := make([]PolicySpec, len(specs))
+	// Each tripwire keeps the Expr of the cell it stands in for, so it
+	// names the same checkpointed cell.
+	tripwire := make([]exp.Policy, len(specs))
 	for i, s := range specs {
-		tripwire[i] = PolicySpec{s.Name, func(int) cache.Policy {
+		tripwire[i] = exp.Policy{Name: s.Name, Expr: s.Expr, Make: func(int) cache.Policy {
 			panic("cell re-ran despite checkpoint")
 		}}
 	}
 	env2 := DefaultEnv()
 	env2.Checkpoint = ck2
-	m2 := RunMatrixEnv(env2, "resume-test", benches, tripwire, opts)
+	m2 := RunMatrixEnv(env2, benches, tripwire, opts)
 	if env2.Failed() {
 		t.Fatalf("resume re-ran checkpointed cells: %v", env2.Failures())
 	}
@@ -181,7 +185,7 @@ func TestResumeRecomputesOnlyFailedCells(t *testing.T) {
 	}
 	env1 := DefaultEnv()
 	env1.Checkpoint = ck
-	m1 := RunMatrixEnv(env1, "heal-test", benches, []PolicySpec{LRUSpec(), faultySpec()}, opts)
+	m1 := RunMatrixEnv(env1, benches, []exp.Policy{LRUSpec(), faultySpec()}, opts)
 	if len(m1.Errors) != 3 {
 		t.Fatalf("first run failed cells = %d, want 3", len(m1.Errors))
 	}
@@ -189,18 +193,19 @@ func TestResumeRecomputesOnlyFailedCells(t *testing.T) {
 
 	// Resume with the fault fixed: the healthy cells must come from the
 	// checkpoint (LRU tripwire), only the previously failed cells run.
+	// Both specs keep the Expr of the cell they stand in for.
 	ck2, err := runner.OpenCheckpoint(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ck2.Close()
-	healed := []PolicySpec{
-		{"LRU", func(int) cache.Policy { panic("healthy cell re-ran despite checkpoint") }},
-		{"Faulty", StandardPolicies()[0].Make}, // the "fixed config"
+	healed := []exp.Policy{
+		{Name: "LRU", Expr: LRUSpec().Expr, Make: func(int) cache.Policy { panic("healthy cell re-ran despite checkpoint") }},
+		{Name: "Faulty", Expr: faultySpec().Expr, Make: StandardPolicies()[0].Make}, // the "fixed config"
 	}
 	env2 := DefaultEnv()
 	env2.Checkpoint = ck2
-	m2 := RunMatrixEnv(env2, "heal-test", benches, healed, opts)
+	m2 := RunMatrixEnv(env2, benches, healed, opts)
 	if env2.Failed() {
 		t.Fatalf("healed resume failed: %v", env2.Failures())
 	}
@@ -234,7 +239,7 @@ func TestSampledReplayPanicFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	specs := []PolicySpec{LRUSpec(), preset("Sampler"), preset("SHiP")}
+	specs := []exp.Policy{LRUSpec(), preset("Sampler"), preset("SHiP")}
 	cells, err := replayPolicies(mat, specs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +255,7 @@ func TestSampledReplayPanicFailsJob(t *testing.T) {
 		}
 	}
 
-	_, err = replayPolicies(mat, []PolicySpec{LRUSpec(), faultySpec()}, opts)
+	_, err = replayPolicies(mat, []exp.Policy{LRUSpec(), faultySpec()}, opts)
 	if err == nil || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("replay with a panicking policy returned %v, want the panic as an error", err)
 	}

@@ -1,15 +1,11 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"sdbp/internal/cache"
 	"sdbp/internal/exp"
-	"sdbp/internal/runner"
 	"sdbp/internal/sim"
-	"sdbp/internal/workloads"
 )
 
 // Fig1 holds the cache-efficiency illustration: 456.hmmer on a 1MB
@@ -31,34 +27,17 @@ func RunFig1(scale float64) *Fig1 {
 
 // RunFig1Env is RunFig1 on a shared environment.
 func RunFig1Env(e *Env, scale float64) *Fig1 {
-	llc := exp.MustGeometry("llc(mb=1)")
-	opts := sim.SingleOptions{Scale: scale, LLC: llc, KeepLineEfficiencies: true}
-
-	run := func(variant string, mk func() cache.Policy) runner.Job[sim.SingleResult] {
-		return runner.Job[sim.SingleResult]{
-			Key: fmt.Sprintf("fig1|%s|%s", optKey(opts), variant),
-			Run: func(context.Context) (sim.SingleResult, error) {
-				w, err := workloads.ByName("456.hmmer")
-				if err != nil {
-					return sim.SingleResult{}, err
-				}
-				return sim.RunSingle(w, mk(), opts), nil
-			},
-		}
-	}
-	lru, smp := LRUSpec(), preset("Sampler")
-	jobs := []runner.Job[sim.SingleResult]{
-		run("lru", func() cache.Policy { return lru.Make(1) }),
-		run("sampler", func() cache.Policy { return smp.Make(1) }),
-	}
-	set := runJobs(e, jobs)
+	opts := sim.SingleOptions{Scale: scale, LLC: exp.MustGeometry("llc(mb=1)"), KeepLineEfficiencies: true}
+	lru := singleCell("456.hmmer", LRUSpec(), 1, opts)
+	smp := singleCell("456.hmmer", preset("Sampler"), 1, opts)
+	set := runCells[sim.SingleResult](e, []cell{lru, smp})
 
 	f := &Fig1{LRUEfficiency: errVal(), SamplerEfficiency: errVal()}
-	if lru, ok := set.Value(jobs[0].Key); ok {
-		f.LRUEfficiency, f.LRUMap = lru.Efficiency, lru.LineEfficiencies
+	if r, ok := set.Value(lru.key()); ok {
+		f.LRUEfficiency, f.LRUMap = r.Efficiency, r.LineEfficiencies
 	}
-	if smp, ok := set.Value(jobs[1].Key); ok {
-		f.SamplerEfficiency, f.SamplerMap = smp.Efficiency, smp.LineEfficiencies
+	if r, ok := set.Value(smp.key()); ok {
+		f.SamplerEfficiency, f.SamplerMap = r.Efficiency, r.LineEfficiencies
 	}
 	return f
 }

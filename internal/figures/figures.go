@@ -11,7 +11,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,69 +18,52 @@ import (
 	"sdbp/internal/cache"
 	"sdbp/internal/exp"
 	"sdbp/internal/hier"
-	"sdbp/internal/runner"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
 
-// PolicySpec names a policy and builds fresh instances of it, one per
-// simulation (policies hold mutable state and must never be shared
-// across runs).
-type PolicySpec struct {
-	// Name is the paper's abbreviation for the technique (Table V).
-	Name string
-	// Make builds a fresh policy for a cache shared by threads threads.
-	Make func(threads int) cache.Policy
-}
-
 // preset looks a policy up in the component registry by its preset
 // name, keeping that name as the table label.
-func preset(name string) PolicySpec {
-	p := exp.MustResolvePolicy(name)
-	return PolicySpec{p.Name, p.Make}
-}
+func preset(name string) exp.Policy { return exp.MustResolvePolicy(name) }
 
-// presetAs is preset with a different table label (the extension
-// tables abbreviate some preset names to fit their columns).
-func presetAs(label, name string) PolicySpec {
-	return PolicySpec{label, exp.MustResolvePolicy(name).Make}
-}
-
-// exprSpec builds a PolicySpec from a registry expression, labeled
-// explicitly (sweep points label by the swept parameter value).
-func exprSpec(label, expr string) PolicySpec {
-	return PolicySpec{label, exp.MustResolvePolicy(expr).Make}
+// labeled resolves a preset name or registry expression under a table
+// label of its own (the extension tables abbreviate some preset names
+// to fit their columns; sweep points label by the swept value).
+func labeled(label, nameOrExpr string) exp.Policy {
+	p := preset(nameOrExpr)
+	p.Name = label
+	return p
 }
 
 // LRUSpec is the baseline.
-func LRUSpec() PolicySpec { return preset("LRU") }
+func LRUSpec() exp.Policy { return preset("LRU") }
 
 // StandardPolicies returns the paper's LRU-baseline comparison set in
 // presentation order: TDBP, CDBP, DIP, RRIP, Sampler.
-func StandardPolicies() []PolicySpec {
-	return []PolicySpec{
+func StandardPolicies() []exp.Policy {
+	return []exp.Policy{
 		preset("TDBP"), preset("CDBP"), preset("DIP"), preset("RRIP"), preset("Sampler"),
 	}
 }
 
 // RandomPolicies returns the random-baseline comparison set of Figures
 // 7 and 8: Random, Random CDBP, Random Sampler.
-func RandomPolicies() []PolicySpec {
-	return []PolicySpec{
+func RandomPolicies() []exp.Policy {
+	return []exp.Policy{
 		preset("Random"), preset("Random CDBP"), preset("Random Sampler"),
 	}
 }
 
 // MulticorePolicies returns the shared-cache comparison set of Figure
 // 10(a): TDBP, CDBP, TADIP, RRIP, Sampler.
-func MulticorePolicies() []PolicySpec {
-	return []PolicySpec{
+func MulticorePolicies() []exp.Policy {
+	return []exp.Policy{
 		preset("TDBP"), preset("CDBP"), preset("TADIP"), preset("RRIP"), preset("Sampler"),
 	}
 }
 
-// cell identifies one (benchmark, policy) run in a matrix sweep.
-type cell struct {
+// coord locates one (benchmark, policy label) entry of a matrix.
+type coord struct {
 	bench  string
 	policy string
 }
@@ -93,25 +75,25 @@ type cell struct {
 type Matrix struct {
 	Benchmarks []string
 	Policies   []string
-	Results    map[cell]sim.SingleResult
-	Errors     map[cell]error
+	Results    map[coord]sim.SingleResult
+	Errors     map[coord]error
 }
 
 // Get returns one run's result (the zero result for a failed cell).
 func (m *Matrix) Get(bench, pol string) sim.SingleResult {
-	return m.Results[cell{bench, pol}]
+	return m.Results[coord{bench, pol}]
 }
 
 // Err returns why a cell failed, nil for a completed cell.
 func (m *Matrix) Err(bench, pol string) error {
-	return m.Errors[cell{bench, pol}]
+	return m.Errors[coord{bench, pol}]
 }
 
 // Val returns f of the cell's result, or NaN when the run failed, so
 // downstream normalizations propagate the failure to every value that
 // depends on it.
 func (m *Matrix) Val(bench, pol string, f func(sim.SingleResult) float64) float64 {
-	if _, ok := m.Results[cell{bench, pol}]; !ok {
+	if _, ok := m.Results[coord{bench, pol}]; !ok {
 		return errVal()
 	}
 	return f(m.Get(bench, pol))
@@ -129,49 +111,41 @@ func (m *Matrix) Series(pol string, f func(sim.SingleResult) float64) []float64 
 
 // RunMatrix sweeps every benchmark against every policy in parallel
 // with the default execution environment.
-func RunMatrix(benches []workloads.Workload, specs []PolicySpec, opts sim.SingleOptions) *Matrix {
-	return RunMatrixEnv(DefaultEnv(), "matrix", benches, specs, opts)
+func RunMatrix(benches []workloads.Workload, specs []exp.Policy, opts sim.SingleOptions) *Matrix {
+	return RunMatrixEnv(DefaultEnv(), benches, specs, opts)
 }
 
 // RunMatrixEnv sweeps every benchmark against every policy on the
-// shared runner. Section names the sweep in checkpoint keys and
-// failure reports; it must be stable across runs for -resume to hit.
-func RunMatrixEnv(e *Env, section string, benches []workloads.Workload, specs []PolicySpec, opts sim.SingleOptions) *Matrix {
+// shared runner, one single-core cell per entry; columns are labeled
+// by policy Name.
+func RunMatrixEnv(e *Env, benches []workloads.Workload, specs []exp.Policy, opts sim.SingleOptions) *Matrix {
+	return runMatrix(e, benches, specs, 1, opts)
+}
+
+// runMatrix is RunMatrixEnv with every policy built for threads
+// sharers.
+func runMatrix(e *Env, benches []workloads.Workload, specs []exp.Policy, threads int, opts sim.SingleOptions) *Matrix {
 	m := &Matrix{
-		Results: make(map[cell]sim.SingleResult),
-		Errors:  make(map[cell]error),
-	}
-	for _, b := range benches {
-		m.Benchmarks = append(m.Benchmarks, b.Name)
+		Results: make(map[coord]sim.SingleResult),
+		Errors:  make(map[coord]error),
 	}
 	for _, s := range specs {
 		m.Policies = append(m.Policies, s.Name)
 	}
-
-	key := func(bench, pol string) string {
-		return fmt.Sprintf("%s|%s|%s|%s", section, optKey(opts), bench, pol)
-	}
-	var jobs []runner.Job[sim.SingleResult]
+	var cells []cell
 	for _, w := range benches {
+		m.Benchmarks = append(m.Benchmarks, w.Name)
 		for _, s := range specs {
-			w, s := w, s
-			jobs = append(jobs, runner.Job[sim.SingleResult]{
-				Key: key(w.Name, s.Name),
-				Run: func(context.Context) (sim.SingleResult, error) {
-					return sim.RunSingle(w, s.Make(1), opts), nil
-				},
-			})
+			cells = append(cells, singleCell(w.Name, s, threads, opts))
 		}
 	}
-	set := runJobs(e, jobs)
-	for _, b := range m.Benchmarks {
-		for _, p := range m.Policies {
-			k := key(b, p)
-			if r, ok := set.Value(k); ok {
-				m.Results[cell{b, p}] = r
-			} else if err := set.Err(k); err != nil {
-				m.Errors[cell{b, p}] = err
-			}
+	set := runCells[sim.SingleResult](e, cells)
+	for i, c := range cells {
+		at := coord{c.name, specs[i%len(specs)].Name}
+		if r, ok := set.Value(c.key()); ok {
+			m.Results[at] = r
+		} else if err := set.Err(c.key()); err != nil {
+			m.Errors[at] = err
 		}
 	}
 	return m

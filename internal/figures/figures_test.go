@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdbp/internal/exp"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
@@ -14,7 +15,7 @@ const tinyScale = 0.01
 
 func TestRunMatrixCoversAllCells(t *testing.T) {
 	benches := sortedNames(workloads.Subset())[:3]
-	specs := append([]PolicySpec{LRUSpec()}, StandardPolicies()[:2]...)
+	specs := append([]exp.Policy{LRUSpec()}, StandardPolicies()[:2]...)
 	m := RunMatrix(benches, specs, sim.SingleOptions{Scale: tinyScale})
 	if len(m.Benchmarks) != 3 || len(m.Policies) != 3 {
 		t.Fatalf("matrix %dx%d", len(m.Benchmarks), len(m.Policies))
@@ -30,7 +31,7 @@ func TestRunMatrixCoversAllCells(t *testing.T) {
 
 func TestMatrixSeries(t *testing.T) {
 	benches := sortedNames(workloads.Subset())[:2]
-	m := RunMatrix(benches, []PolicySpec{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
+	m := RunMatrix(benches, []exp.Policy{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
 	s := m.Series("LRU", func(r sim.SingleResult) float64 { return r.MPKI })
 	if len(s) != 2 || s[0] <= 0 {
 		t.Errorf("series = %v", s)

@@ -1,12 +1,11 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 
 	"sdbp/internal/cache"
+	"sdbp/internal/exp"
 	"sdbp/internal/hier"
-	"sdbp/internal/runner"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
@@ -28,81 +27,44 @@ type Multicore struct {
 
 // RunMulticoreFigure performs one Figure 10 panel's sweep: the given
 // policies plus the LRU baseline over all ten mixes.
-func RunMulticoreFigure(specs []PolicySpec, scale float64) *Multicore {
+func RunMulticoreFigure(specs []exp.Policy, scale float64) *Multicore {
 	return RunMulticoreFigureEnv(DefaultEnv(), specs, scale)
 }
 
 // RunMulticoreFigureEnv is RunMulticoreFigure on a shared environment.
-// Runs are deterministic, so checkpoint keys depend only on (mix,
-// policy, scale, geometry): both panels share the LRU baseline cells.
-func RunMulticoreFigureEnv(e *Env, specs []PolicySpec, scale float64) *Multicore {
-	return RunMulticoreFigureLLC(e, specs, scale, hier.LLCConfig(4))
-}
-
-// RunMulticoreFigureLLC is RunMulticoreFigureEnv with an explicit
-// shared-LLC geometry (ad-hoc specs may override the paper's 8MB).
-func RunMulticoreFigureLLC(e *Env, specs []PolicySpec, scale float64, llcCfg cache.Config) *Multicore {
-	return runMulticore(e, workloads.Mixes(), specs, scale, llcCfg)
+// Both panels read the same LRU baseline cells, so one Env runs them
+// once.
+func RunMulticoreFigureEnv(e *Env, specs []exp.Policy, scale float64) *Multicore {
+	return runMulticore(e, workloads.Mixes(), specs, scale, hier.LLCConfig(4))
 }
 
 // runMulticore runs the given policies plus the LRU baseline over the
 // given mixes on one shared-LLC geometry.
-func runMulticore(e *Env, mixes []workloads.Mix, specs []PolicySpec, scale float64, llcCfg cache.Config) *Multicore {
-
-	// Single-run IPCs (denominators of weighted speedup): one per
-	// distinct benchmark, shared across mixes and policies.
-	singleKey := func(bench string) string {
-		return fmt.Sprintf("mc-single|s=%g|llc=%d.%d|%s", scaleOr1(scale), llcCfg.SizeBytes, llcCfg.Ways, bench)
-	}
-	var names []string
-	seen := map[string]bool{}
-	for _, mix := range mixes {
-		for _, name := range mix.Members {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
+func runMulticore(e *Env, mixes []workloads.Mix, specs []exp.Policy, scale float64, llcCfg cache.Config) *Multicore {
+	// Single-run IPCs (denominators of weighted speedup): each member
+	// alone under LRU at the shared-LLC geometry, shared across mixes
+	// and policies.
 	lru := LRUSpec()
-	var singleJobs []runner.Job[float64]
-	for _, name := range names {
-		name := name
-		singleJobs = append(singleJobs, runner.Job[float64]{
-			Key: singleKey(name),
-			Run: func(context.Context) (float64, error) {
-				return sim.SingleIPC(name, llcCfg, scale,
-					func() cache.Policy { return lru.Make(1) })
-			},
-		})
+	single := func(bench string) cell {
+		return singleCell(bench, lru, 1, sim.SingleOptions{Scale: scale, LLC: llcCfg})
 	}
-	singleSet := runJobs(e, singleJobs)
-	singles := map[string]float64{}
-	for _, name := range names {
-		if v, ok := singleSet.Value(singleKey(name)); ok {
-			singles[name] = v
-		} else {
-			singles[name] = errVal()
-		}
+	var singleCells []cell
+	for _, name := range members(mixes) {
+		singleCells = append(singleCells, single(name))
 	}
+	singles := runCells[sim.SingleResult](e, singleCells)
 
-	all := append([]PolicySpec{LRUSpec()}, specs...)
-	mixKey := func(mix, pol string) string {
-		return fmt.Sprintf("mc|s=%g|llc=%d.%d|%s|%s", scaleOr1(scale), llcCfg.SizeBytes, llcCfg.Ways, mix, pol)
-	}
-	var mixJobs []runner.Job[sim.MulticoreResult]
+	all := append([]exp.Policy{lru}, specs...)
+	var mixCells []cell
 	for _, mix := range mixes {
 		for _, spec := range all {
-			mix, spec := mix, spec
-			mixJobs = append(mixJobs, runner.Job[sim.MulticoreResult]{
-				Key: mixKey(mix.Name, spec.Name),
-				Run: func(context.Context) (sim.MulticoreResult, error) {
-					return sim.RunMulticore(mix, spec.Make(4), sim.MulticoreOptions{Scale: scale, LLC: llcCfg})
-				},
-			})
+			mixCells = append(mixCells, mixCell(mix.Name, spec, scale, llcCfg))
 		}
 	}
-	mixSet := runJobs(e, mixJobs)
+	mixSet := runCells[sim.MulticoreResult](e, mixCells)
+	mixRun := func(mix workloads.Mix, spec exp.Policy) (sim.MulticoreResult, bool) {
+		return mixSet.Value(mixCell(mix.Name, spec, scale, llcCfg).key())
+	}
 
 	mc := &Multicore{
 		WeightedSpeedup: make(map[string]map[string]float64),
@@ -117,18 +79,18 @@ func runMulticore(e *Env, mixes []workloads.Mix, specs []PolicySpec, scale float
 
 	// ws is NaN when the mix run or any member's single-run IPC failed,
 	// so the normalized cell renders as ERR.
-	ws := func(mix workloads.Mix, pol string) float64 {
-		r, ok := mixSet.Value(mixKey(mix.Name, pol))
+	ws := func(mix workloads.Mix, spec exp.Policy) float64 {
+		r, ok := mixRun(mix, spec)
 		if !ok {
 			return errVal()
 		}
 		var out float64
 		for i, name := range mix.Members {
-			single := singles[name]
-			if !(single > 0) {
+			s, ok := singles.Value(single(name).key())
+			if !ok || !(s.IPC > 0) {
 				return errVal()
 			}
-			out += r.IPC[i] / single
+			out += r.IPC[i] / s.IPC
 		}
 		return out
 	}
@@ -136,17 +98,33 @@ func runMulticore(e *Env, mixes []workloads.Mix, specs []PolicySpec, scale float
 		mc.WeightedSpeedup[spec.Name] = make(map[string]float64)
 		var mpkis []float64
 		for _, mix := range mixes {
-			norm := ws(mix, spec.Name) / ws(mix, "LRU")
+			norm := ws(mix, spec) / ws(mix, lru)
 			mc.WeightedSpeedup[spec.Name][mix.Name] = norm
-			lru, lruOK := mixSet.Value(mixKey(mix.Name, "LRU"))
-			r, rOK := mixSet.Value(mixKey(mix.Name, spec.Name))
-			if lruOK && rOK && lru.MPKI > 0 {
-				mpkis = append(mpkis, r.MPKI/lru.MPKI)
+			base, baseOK := mixRun(mix, lru)
+			r, rOK := mixRun(mix, spec)
+			if baseOK && rOK && base.MPKI > 0 {
+				mpkis = append(mpkis, r.MPKI/base.MPKI)
 			}
 		}
 		mc.NormMPKI[spec.Name] = meanFinite(mpkis)
 	}
 	return mc
+}
+
+// members returns the distinct member benchmarks of mixes, in order of
+// first appearance.
+func members(mixes []workloads.Mix) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, mix := range mixes {
+		for _, name := range mix.Members {
+			if !seen[name] {
+				seen[name] = true
+				out = append(out, name)
+			}
+		}
+	}
+	return out
 }
 
 // Render prints one Figure 10 panel: normalized weighted speedup per

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdbp/internal/cache"
+	"sdbp/internal/exp"
 	"sdbp/internal/obs"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
@@ -20,8 +21,8 @@ func TestMatrixObsReconciles(t *testing.T) {
 	reg := obs.NewRegistry()
 	env := &Env{Obs: reg}
 	benches := pick(t, "456.hmmer", "401.bzip2", "429.mcf")
-	specs := []PolicySpec{LRUSpec(), StandardPolicies()[1]}
-	m := RunMatrixEnv(env, "obs-test", benches, specs, sim.SingleOptions{Scale: tinyScale})
+	specs := []exp.Policy{LRUSpec(), StandardPolicies()[1]}
+	m := RunMatrixEnv(env, benches, specs, sim.SingleOptions{Scale: tinyScale})
 	if env.Failed() {
 		t.Fatalf("matrix failed: %v", env.Failures())
 	}
@@ -82,8 +83,8 @@ func TestMatrixObsReconciles(t *testing.T) {
 // the nil-safety contract at the layer that actually exercises it.
 func TestMatrixObsNilRegistry(t *testing.T) {
 	env := DefaultEnv() // Obs nil
-	m := RunMatrixEnv(env, "obs-nil-test", pick(t, "456.hmmer"),
-		[]PolicySpec{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
+	m := RunMatrixEnv(env, pick(t, "456.hmmer"),
+		[]exp.Policy{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
 	if m.Get("456.hmmer", "LRU").Instructions == 0 {
 		t.Error("unobserved matrix produced no result")
 	}

@@ -22,7 +22,7 @@ type PrefetchStudy struct {
 	// "Sampler+PF".
 	Results map[string]map[string]prefetch.Result
 	// Errors[{bench, config}] records failed runs.
-	Errors map[cell]error
+	Errors map[coord]error
 }
 
 // prefetchConfigs enumerates the study's configurations.
@@ -56,7 +56,7 @@ func RunPrefetchStudyEnv(e *Env, scale float64) *PrefetchStudy {
 	benches := sortedNames(workloads.Subset())
 	st := &PrefetchStudy{
 		Results: map[string]map[string]prefetch.Result{},
-		Errors:  map[cell]error{},
+		Errors:  map[coord]error{},
 	}
 	for _, b := range benches {
 		st.Benchmarks = append(st.Benchmarks, b.Name)
@@ -88,7 +88,7 @@ func RunPrefetchStudyEnv(e *Env, scale float64) *PrefetchStudy {
 			if r, ok := set.Value(k); ok {
 				st.Results[c.name][b] = r
 			} else if err := set.Err(k); err != nil {
-				st.Errors[cell{b, c.name}] = err
+				st.Errors[coord{b, c.name}] = err
 			}
 		}
 	}

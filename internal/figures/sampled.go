@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"sdbp/internal/exp"
 	"sdbp/internal/runner"
 	"sdbp/internal/sampling"
 	"sdbp/internal/sim"
@@ -188,42 +189,31 @@ func BuildSampledPlansEnv(e *Env, benches []string, scale float64, interval uint
 // checked against. Used by -update-sampled to regenerate the committed
 // golden, and by the CI wall-time check as the full-run cost baseline.
 func RunSampledGoldenEnv(e *Env, benches, policies []string, scale float64) *SampledGolden {
-	key := func(bench, pol string) string {
-		return fmt.Sprintf("sampled-golden|s=%g|%s|%s", scaleOr1(scale), bench, pol)
+	at := func(bench, pol string) cell {
+		return singleCell(bench, preset(pol), 1, sim.SingleOptions{Scale: scale})
 	}
-	type cellVal struct{ c SampledGoldenCell }
-	var jobs []runner.Job[*cellVal]
+	var cells []cell
 	for _, bench := range benches {
 		for _, pol := range policies {
-			bench, pol := bench, pol
-			spec := preset(pol)
-			jobs = append(jobs, runner.Job[*cellVal]{
-				Key: key(bench, pol),
-				Run: func(context.Context) (*cellVal, error) {
-					w, err := workloads.ByName(bench)
-					if err != nil {
-						return nil, err
-					}
-					r := sim.RunSingle(w, spec.Make(1), sim.SingleOptions{Scale: scale})
-					c := SampledGoldenCell{Bench: bench, Policy: pol, IPC: r.IPC, MPKI: r.MPKI}
-					if r.Cycles > 0 {
-						c.CPI = float64(r.Cycles) / float64(r.Instructions)
-					}
-					if r.LLC.Accesses > 0 {
-						c.MissRate = float64(r.LLC.Misses) / float64(r.LLC.Accesses)
-					}
-					return &cellVal{c}, nil
-				},
-			})
+			cells = append(cells, at(bench, pol))
 		}
 	}
-	set := runJobs(e, jobs)
+	set := runCells[sim.SingleResult](e, cells)
 	out := &SampledGolden{Scale: scaleOr1(scale)}
 	for _, bench := range benches {
 		for _, pol := range policies {
-			if v, ok := set.Value(key(bench, pol)); ok && v != nil {
-				out.Cells = append(out.Cells, v.c)
+			r, ok := set.Value(at(bench, pol).key())
+			if !ok {
+				continue
 			}
+			c := SampledGoldenCell{Bench: bench, Policy: pol, IPC: r.IPC, MPKI: r.MPKI}
+			if r.Cycles > 0 {
+				c.CPI = float64(r.Cycles) / float64(r.Instructions)
+			}
+			if r.LLC.Accesses > 0 {
+				c.MissRate = float64(r.LLC.Misses) / float64(r.LLC.Accesses)
+			}
+			out.Cells = append(out.Cells, c)
 		}
 	}
 	return out
@@ -242,7 +232,7 @@ func RunSampledValidationEnv(e *Env, plans *SampledPlans, policies []string) *Sa
 		return fmt.Sprintf("sampled|s=%g|i=%d|k=%d|p=%s|%s",
 			plans.Scale, plans.Interval, plans.Clusters, strings.Join(policies, "+"), bench)
 	}
-	specs := make([]PolicySpec, len(policies))
+	specs := make([]exp.Policy, len(policies))
 	for i, p := range policies {
 		specs[i] = preset(p)
 	}
@@ -280,7 +270,7 @@ func RunSampledValidationEnv(e *Env, plans *SampledPlans, policies []string) *Sa
 // one goroutine per policy: the replays only read the windows. Cells
 // come back in spec order. A policy that panics fails the whole
 // benchmark with an error, as it would on the job's own goroutine.
-func replayPolicies(mat *sim.Materialized, specs []PolicySpec, opts sim.SingleOptions) ([]SampledCell, error) {
+func replayPolicies(mat *sim.Materialized, specs []exp.Policy, opts sim.SingleOptions) ([]SampledCell, error) {
 	cells := make([]SampledCell, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup

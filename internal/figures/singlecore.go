@@ -1,12 +1,11 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
+	"sdbp/internal/exp"
 	"sdbp/internal/optimal"
-	"sdbp/internal/runner"
 	"sdbp/internal/sim"
 	"sdbp/internal/stats"
 	"sdbp/internal/workloads"
@@ -32,34 +31,22 @@ func RunSingleCore(scale float64) *SingleCore {
 // RunSingleCoreEnv is RunSingleCore on a shared execution environment.
 func RunSingleCoreEnv(e *Env, scale float64) *SingleCore {
 	benches := sortedNames(workloads.Subset())
-	specs := append([]PolicySpec{LRUSpec()}, StandardPolicies()...)
+	specs := append([]exp.Policy{LRUSpec()}, StandardPolicies()...)
 	sc := &SingleCore{
-		Matrix:      RunMatrixEnv(e, "singlecore", benches, specs, sim.SingleOptions{Scale: scale}),
+		Matrix:      RunMatrixEnv(e, benches, specs, sim.SingleOptions{Scale: scale}),
 		OptimalMPKI: make(map[string]float64),
 		Scale:       scale,
 	}
-
-	// Optimal replacement-and-bypass over each benchmark's captured LLC
-	// stream. Streams are large, so cap concurrent captures.
-	key := func(bench string) string {
-		return fmt.Sprintf("optimal|s=%g|%s", scaleOr1(scale), bench)
-	}
-	var jobs []runner.Job[float64]
+	var cells []cell
 	for _, w := range benches {
-		w := w
-		jobs = append(jobs, runner.Job[float64]{
-			Key: key(w.Name),
-			Run: func(context.Context) (float64, error) {
-				return OptimalMPKI(w, scale), nil
-			},
-		})
+		cells = append(cells, optimalCell(w.Name, scale))
 	}
-	set := runJobsLimited(e, jobs, 4)
-	for _, w := range benches {
-		if v, ok := set.Value(key(w.Name)); ok {
-			sc.OptimalMPKI[w.Name] = v
+	set := runCells[float64](e, cells)
+	for _, c := range cells {
+		if v, ok := set.Value(c.key()); ok {
+			sc.OptimalMPKI[c.name] = v
 		} else {
-			sc.OptimalMPKI[w.Name] = errVal()
+			sc.OptimalMPKI[c.name] = errVal()
 		}
 	}
 	return sc
@@ -239,8 +226,8 @@ func RunRandomBaseline(scale float64) *RandomBaseline {
 func RunRandomBaselineEnv(e *Env, scale float64) *RandomBaseline {
 	benches := sortedNames(workloads.Subset())
 	return &RandomBaseline{
-		Matrix: RunMatrixEnv(e, "random", benches, RandomPolicies(), sim.SingleOptions{Scale: scale}),
-		LRU:    RunMatrixEnv(e, "random-lru", benches, []PolicySpec{LRUSpec()}, sim.SingleOptions{Scale: scale}),
+		Matrix: RunMatrixEnv(e, benches, RandomPolicies(), sim.SingleOptions{Scale: scale}),
+		LRU:    RunMatrixEnv(e, benches, []exp.Policy{LRUSpec()}, sim.SingleOptions{Scale: scale}),
 	}
 }
 

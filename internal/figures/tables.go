@@ -1,14 +1,12 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"sdbp/internal/cache"
 	"sdbp/internal/exp"
 	"sdbp/internal/power"
-	"sdbp/internal/runner"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
@@ -105,43 +103,32 @@ func RunTable3(scale float64) *Table3 {
 	return RunTable3Env(DefaultEnv(), scale)
 }
 
-// RunTable3Env is RunTable3 on a shared environment. A benchmark whose
-// characterization run fails keeps its identity columns and renders
-// its metrics as ERR.
+// RunTable3Env is RunTable3 on a shared environment. Each row reads
+// two cells, the benchmark's LRU run and its optimal MIN; a benchmark
+// keeps its identity columns when they fail, and the failed cell's
+// metrics render as ERR.
 func RunTable3Env(e *Env, scale float64) *Table3 {
 	benches := sortedNames(workloads.All())
-	t := &Table3{Rows: make([]Table3Row, len(benches))}
-	key := func(bench string) string {
-		return fmt.Sprintf("table3|s=%g|%s", scaleOr1(scale), bench)
-	}
-	var jobs []runner.Job[Table3Row]
+	var runs, mins []cell
 	for _, w := range benches {
-		w := w
-		jobs = append(jobs, runner.Job[Table3Row]{
-			Key: key(w.Name),
-			Run: func(context.Context) (Table3Row, error) {
-				base := sim.RunSingle(w, LRUSpec().Make(1), sim.SingleOptions{Scale: scale})
-				return Table3Row{
-					Name:     w.Name,
-					Class:    w.Class,
-					InSubset: w.InSubset,
-					MPKILRU:  base.MPKI,
-					MPKIMin:  OptimalMPKI(w, scale),
-					IPCLRU:   base.IPC,
-				}, nil
-			},
-		})
+		runs = append(runs, singleCell(w.Name, LRUSpec(), 1, sim.SingleOptions{Scale: scale}))
+		mins = append(mins, optimalCell(w.Name, scale))
 	}
-	set := runJobs(e, jobs)
+	lru := runCells[sim.SingleResult](e, runs)
+	opt := runCells[float64](e, mins)
+	t := &Table3{Rows: make([]Table3Row, len(benches))}
 	for i, w := range benches {
-		if row, ok := set.Value(key(w.Name)); ok {
-			t.Rows[i] = row
-		} else {
-			t.Rows[i] = Table3Row{
-				Name: w.Name, Class: w.Class, InSubset: w.InSubset,
-				MPKILRU: errVal(), MPKIMin: errVal(), IPCLRU: errVal(),
-			}
+		row := Table3Row{
+			Name: w.Name, Class: w.Class, InSubset: w.InSubset,
+			MPKILRU: errVal(), MPKIMin: errVal(), IPCLRU: errVal(),
 		}
+		if r, ok := lru.Value(runs[i].key()); ok {
+			row.MPKILRU, row.IPCLRU = r.MPKI, r.IPC
+		}
+		if v, ok := opt.Value(mins[i].key()); ok {
+			row.MPKIMin = v
+		}
+		t.Rows[i] = row
 	}
 	return t
 }
@@ -188,49 +175,27 @@ func RunTable4(scale float64) *Table4 {
 // which render as ERR.
 func RunTable4Env(e *Env, scale float64) *Table4 {
 	mixes := workloads.Mixes()
-	needed := map[string]bool{}
-	var names []string
-	for _, m := range mixes {
-		for _, b := range m.Members {
-			if !needed[b] {
-				needed[b] = true
-				names = append(names, b)
-			}
-		}
+	point := func(bench string, size int) cell {
+		return singleCell(bench, LRUSpec(), 1, sim.SingleOptions{
+			Scale: scale,
+			LLC:   cache.Config{Name: "LLC", SizeBytes: size, Ways: 16},
+		})
 	}
-
-	key := func(bench string, size int) string {
-		return fmt.Sprintf("table4|s=%g|%s|%d", scaleOr1(scale), bench, size)
-	}
-	var jobs []runner.Job[float64]
-	for _, bench := range names {
-		w, err := workloads.ByName(bench)
-		if err != nil {
-			panic(err) // mixes reference only known benchmarks
-		}
+	var cells []cell
+	for _, bench := range members(mixes) {
 		for _, size := range SensitivitySizes {
-			w, size := w, size
-			jobs = append(jobs, runner.Job[float64]{
-				Key: key(w.Name, size),
-				Run: func(context.Context) (float64, error) {
-					r := sim.RunSingle(w, LRUSpec().Make(1), sim.SingleOptions{
-						Scale: scale,
-						LLC:   cache.Config{Name: "LLC", SizeBytes: size, Ways: 16},
-					})
-					return r.MPKI, nil
-				},
-			})
+			cells = append(cells, point(bench, size))
 		}
 	}
-	set := runJobs(e, jobs)
+	set := runCells[sim.SingleResult](e, cells)
 
 	t := &Table4{Mixes: mixes, Curves: make(map[string][]float64)}
 	for _, m := range mixes {
 		curve := make([]float64, len(SensitivitySizes))
 		for i, size := range SensitivitySizes {
 			for _, b := range m.Members {
-				if v, ok := set.Value(key(b, size)); ok {
-					curve[i] += v
+				if r, ok := set.Value(point(b, size).key()); ok {
+					curve[i] += r.MPKI
 				} else {
 					curve[i] = errVal()
 					break

@@ -19,7 +19,7 @@ type VictimStudy struct {
 	// Results[config][bench]; configs are "unfiltered", "dead-filtered".
 	Results map[string]map[string]victim.Result
 	// Errors[{bench, config}] records failed runs.
-	Errors map[cell]error
+	Errors map[coord]error
 }
 
 // RunVictimStudy performs the comparison over the subset with a
@@ -37,7 +37,7 @@ func RunVictimStudyEnv(e *Env, scale float64) *VictimStudy {
 			"unfiltered":    {},
 			"dead-filtered": {},
 		},
-		Errors: map[cell]error{},
+		Errors: map[coord]error{},
 	}
 	for _, b := range benches {
 		st.Benchmarks = append(st.Benchmarks, b.Name)
@@ -66,7 +66,7 @@ func RunVictimStudyEnv(e *Env, scale float64) *VictimStudy {
 			if r, ok := set.Value(k); ok {
 				st.Results[config][b] = r
 			} else if err := set.Err(k); err != nil {
-				st.Errors[cell{b, config}] = err
+				st.Errors[coord{b, config}] = err
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // accident this test lets through.
 func TestAccessLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Access{}); got != 24 {
-		t.Errorf("Access is %d bytes, want 24 (8 PC + 8 Addr + 4 Gap + 4 flag bytes)", got)
+		t.Errorf("Access is %d bytes, want 24 (8 PC + 8 Addr + 4 Gap + 3 flag bytes + 1 spare)", got)
 	}
 	// Hot fields first: every level reads PC/Addr/Gap on every access;
 	// the flag bytes are colder and must trail so the first 20 bytes of
@@ -28,7 +28,10 @@ func TestAccessLayout(t *testing.T) {
 	if off := unsafe.Offsetof(Access{}.Gap); off != 16 {
 		t.Errorf("Access.Gap at offset %d, want 16", off)
 	}
-	if off := unsafe.Offsetof(Access{}.Thread); off != 23 {
-		t.Errorf("Access.Thread at offset %d, want 23 (last flag byte)", off)
+	if off := unsafe.Offsetof(Access{}.Write); off != 20 {
+		t.Errorf("Access.Write at offset %d, want 20 (first flag byte)", off)
+	}
+	if off := unsafe.Offsetof(Access{}.Thread); off != 22 {
+		t.Errorf("Access.Thread at offset %d, want 22 (last flag byte)", off)
 	}
 }

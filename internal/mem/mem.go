@@ -18,9 +18,9 @@ const BlockSize = 1 << BlockBits
 // The simulator moves accesses through the hierarchy in blocks (slices
 // of Access), so the layout is tuned for block-array locality: the
 // fields every level reads on every access (PC, Addr, Gap) lead, the
-// flag bytes trail, and the total is exactly 24 bytes with no padding
-// — pinned by TestAccessLayout so a new field cannot silently widen
-// every block buffer.
+// flag bytes trail, and the total is exactly 24 bytes with one spare
+// trailing byte — pinned by TestAccessLayout so a new field cannot
+// silently widen every block buffer.
 type Access struct {
 	// PC is the address of the instruction making the access. Synthetic
 	// workloads assign a stable PC per code site.
@@ -33,10 +33,6 @@ type Access struct {
 	Gap uint32
 	// Write is true for stores.
 	Write bool
-	// Writeback marks a dirty eviction arriving from the level above
-	// rather than a demand access. Writebacks carry no meaningful PC,
-	// so dead block predictors must not train on or predict from them.
-	Writeback bool
 	// DependentLoad marks a load whose address depends on the previous
 	// load's value (pointer chasing). The CPU model serializes such loads
 	// rather than overlapping their misses.

@@ -108,14 +108,10 @@ func (p *AB) OnAccess(set uint32, a mem.Access) {
 }
 
 // Bypass implements cache.Policy: it runs exactly once per miss, so the
-// PSEL updates here (writeback misses stay out of the duel, matching
-// the dueling dead-block policy). Both sides are consulted — a side's
-// Bypass may carry its own accounting — but only the chosen side's
-// verdict acts.
+// PSEL updates here. Both sides are consulted — a side's Bypass may
+// carry its own accounting — but only the chosen side's verdict acts.
 func (p *AB) Bypass(set uint32, a mem.Access) bool {
-	if !a.Writeback {
-		p.onMiss(set)
-	}
+	p.onMiss(set)
 	aSays := p.a.Bypass(set, a)
 	bSays := p.b.Bypass(set, a)
 	if p.useB(set) {

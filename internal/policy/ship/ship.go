@@ -86,7 +86,6 @@ type Policy struct {
 	rrpv    []uint8
 	sig     []uint16 // fill signature per line
 	reused  []bool   // line has hit since fill
-	tracked []bool   // line was demand-filled (writeback fills train nothing)
 	shct    []uint8
 	sigMask uint32
 
@@ -128,7 +127,6 @@ func (p *Policy) Reset(sets, ways int) {
 	}
 	p.sig = make([]uint16, sets*ways)
 	p.reused = make([]bool, sets*ways)
-	p.tracked = make([]bool, sets*ways)
 	p.shct = make([]uint8, 1<<uint(p.cfg.SigBits))
 	for i := range p.shct {
 		p.shct[i] = uint8(p.cfg.Init)
@@ -159,12 +157,12 @@ func (p *Policy) trains(set uint32) bool {
 }
 
 // OnHit implements cache.Policy: promotion to near re-reference exactly
-// as SRRIP; the first demand hit to a tracked line credits its fill
+// as SRRIP; the first hit to a line since its fill credits its fill
 // signature in the SHCT.
 func (p *Policy) OnHit(set uint32, way int, a mem.Access) {
 	i := p.idx(set, way)
 	p.rrpv[i] = 0
-	if a.Writeback || !p.tracked[i] || p.reused[i] {
+	if p.reused[i] {
 		return
 	}
 	p.reused[i] = true
@@ -177,37 +175,30 @@ func (p *Policy) OnHit(set uint32, way int, a mem.Access) {
 }
 
 // OnFill implements cache.Policy: a signature with zero recorded reuse
-// inserts distant (first in line for eviction); everything else — and
-// every writeback fill — takes SRRIP's long re-reference insertion.
+// inserts distant (first in line for eviction); everything else takes
+// SRRIP's long re-reference insertion.
 func (p *Policy) OnFill(set uint32, way int, a mem.Access) {
 	i := p.idx(set, way)
 	insert := uint8(rrpvMax - 1)
-	if a.Writeback {
-		p.tracked[i] = false
-		p.reused[i] = false
-	} else {
-		s := p.signature(a.PC)
-		p.sig[i] = s
-		p.reused[i] = false
-		p.tracked[i] = true
-		if p.shct[s] == 0 {
-			insert = rrpvMax
-		}
+	s := p.signature(a.PC)
+	p.sig[i] = s
+	p.reused[i] = false
+	if p.shct[s] == 0 {
+		insert = rrpvMax
 	}
 	p.rrpv[i] = insert
 }
 
-// OnEvict implements cache.Policy: a tracked line that dies without a
-// single re-reference votes its fill signature down.
+// OnEvict implements cache.Policy: a line that dies without a single
+// re-reference votes its fill signature down.
 func (p *Policy) OnEvict(set uint32, way int) {
 	i := p.idx(set, way)
-	if p.tracked[i] && !p.reused[i] && p.trains(set) {
+	if !p.reused[i] && p.trains(set) {
 		s := p.sig[i]
 		if p.shct[s] > 0 {
 			p.shct[s]--
 		}
 	}
-	p.tracked[i] = false
 	p.reused[i] = false
 }
 

@@ -22,8 +22,8 @@ var Warnf = func(format string, args ...any) {
 
 // Checkpoint is an append-only JSON-lines journal of completed job
 // results. Each line is {"key": ..., "value": ...}; the key embeds
-// everything that determines the result (section, workload, policy,
-// scale, geometry), so a lookup hit is exactly a finished cell and a
+// everything that determines the result (workload, policy, scale,
+// geometry), so a lookup hit is exactly a finished cell and a
 // config change produces disjoint keys rather than stale hits.
 //
 // The journal is crash-safe by construction: a torn final line (the

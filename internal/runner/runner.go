@@ -13,8 +13,9 @@
 //   - progress events (jobs done/total, ETA) for long campaigns.
 //
 // Jobs are deterministic simulations, so a job key fully identifies
-// its result: keys embed the section, stream scale and cache geometry
-// (see the figures package) and act as the checkpoint cache key.
+// its result: the figures package keys each job by the canonical
+// identity of its cell (kind, workload, policy expression, threads,
+// stream scale and cache geometry), which is also the checkpoint key.
 package runner
 
 import (
