@@ -12,8 +12,7 @@
 //
 // -spans renders the other telemetry artifact: a job trace fetched
 // with 'sdbpctl trace ADDR', as a per-stage waterfall of the sdbpd
-// pipeline (decode → cache lookup → queue wait → coalesce → run →
-// store).
+// pipeline (decode → cache lookup → queue wait → run → store).
 //
 // The output embeds everything inline (CSS and SVG, no scripts, no
 // external references) and is a pure function of the input bytes, so

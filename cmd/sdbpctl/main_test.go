@@ -20,7 +20,7 @@ import (
 // newBackend starts a real serve.Server for the client to talk to.
 func newBackend(t *testing.T) *httptest.Server {
 	t.Helper()
-	s := serve.New(serve.Config{Log: log.New(io.Discard, "", 0), BatchWait: time.Millisecond})
+	s := serve.New(serve.Config{Log: log.New(io.Discard, "", 0), Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -51,11 +51,8 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sdbpd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8344", "listen address (host:port; port 0 picks a free one)")
-	queue := fs.Int("queue", 64, "admission queue capacity; a full queue answers 429")
-	batchWait := fs.Duration("batch-wait", 10*time.Millisecond, "coalescing window measured from a batch's first job")
-	batchMax := fs.Int("batch-max", 16, "max jobs per coalesced batch")
-	batches := fs.Int("batches", 2, "max concurrently executing batches")
-	workers := fs.Int("workers", 0, "runner workers per batch (0 = NumCPU)")
+	queue := fs.Int("queue", 64, "admission queue capacity (jobs waiting to run); a full queue answers 429")
+	workers := fs.Int("workers", 0, "max concurrently running jobs (0 = NumCPU)")
 	timeout := fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
 	retries := fs.Int("retries", 0, "per-job retry budget for transient failures")
 	checkpoint := fs.String("checkpoint", "", "journal completed jobs to this JSONL file for crash-safe resume")
@@ -115,9 +112,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 
 	srv := serve.New(serve.Config{
 		Queue:      *queue,
-		MaxBatch:   *batchMax,
-		BatchWait:  *batchWait,
-		Batches:    *batches,
 		Workers:    *workers,
 		JobTimeout: *timeout,
 		Retries:    *retries,

@@ -8,7 +8,7 @@ import "sdbp/internal/mem"
 // AccessBatch for any policy (amortizing the per-call overhead of the
 // general path), AccessPrivate for the private L1/L2 shape (plain LRU,
 // no efficiency metadata), where the per-access Result — most of which
-// the hierarchy discards — is replaced by the four values it actually
+// the hierarchy discards — is replaced by the three values it actually
 // reads. Both are pinned byte-identical to the per-access path by the
 // batch differential in internal/policy/policytest.
 
@@ -37,15 +37,14 @@ func (c *Cache) AccessBatch(as []mem.Access, rs []Result) {
 // AccessPrivate performs one reference on a private-shaped cache —
 // plain LRU and no efficiency accounting, the configuration hier always
 // gives the L1 and L2 — returning only what the hierarchy consumes:
-// whether the block hit, whether a valid block was evicted, whether
-// that victim was dirty, and the dirty victim's write-back address. On
-// any other cache shape it falls back through Access, so callers need
-// no shape check of their own. State and statistics advance exactly as
-// Access would advance them.
-func (c *Cache) AccessPrivate(a mem.Access) (hit, evicted, evictedDirty bool, wbAddr uint64) {
+// whether the block hit, whether a valid block was evicted, and
+// whether that victim was dirty. On any other cache shape it falls
+// back through Access, so callers need no shape check of their own.
+// State and statistics advance exactly as Access would advance them.
+func (c *Cache) AccessPrivate(a mem.Access) (hit, evicted, evictedDirty bool) {
 	if c.lru == nil || c.lines != nil {
 		r := c.Access(a)
-		return r.Hit, r.Evicted, r.EvictedDirty, r.WritebackAddr
+		return r.Hit, r.Evicted, r.EvictedDirty
 	}
 	bn := a.Addr >> mem.BlockBits
 	if bn == c.memoBN {
@@ -61,7 +60,7 @@ func (c *Cache) AccessPrivate(a mem.Access) (hit, evicted, evictedDirty bool, wb
 			c.stats.Writes++
 			c.keys[c.memoIdx] |= keyDirty
 		}
-		return true, false, false, 0
+		return true, false, false
 	}
 	c.clock++
 	c.stats.Accesses++
@@ -87,7 +86,7 @@ func (c *Cache) AccessPrivate(a mem.Access) (hit, evicted, evictedDirty bool, wb
 			keys[w] = k
 			c.lru.Promote(set, w)
 			c.memoBN, c.memoIdx = bn, int32(int(set)*c.ways+w)
-			return true, false, false, 0
+			return true, false, false
 		}
 		if k == 0 && invalid < 0 {
 			invalid = w
@@ -104,7 +103,6 @@ func (c *Cache) AccessPrivate(a mem.Access) (hit, evicted, evictedDirty bool, wb
 		evicted = true
 		if k&keyDirty != 0 {
 			evictedDirty = true
-			wbAddr = c.blockAddr(set, (k&^keyFlags)>>1)
 			c.stats.Writebacks++
 		}
 	}
@@ -123,7 +121,7 @@ func (c *Cache) AccessPrivate(a mem.Access) (hit, evicted, evictedDirty bool, wb
 		c.lru.Promote(set, victim)
 		c.memoBN, c.memoIdx = bn, int32(int(set)*c.ways+victim)
 	}
-	return false, evicted, evictedDirty, wbAddr
+	return false, evicted, evictedDirty
 }
 
 // KeysSnapshot returns a copy of the packed per-way lookup keys (tag,

@@ -72,13 +72,11 @@ type Result struct {
 	Bypassed bool
 	// Evicted is true when a valid block was evicted to make room.
 	Evicted bool
+	// EvictedDirty is true when the evicted block was dirty (a
+	// write-back).
+	EvictedDirty bool
 	// EvictedAddr is the evicted block's address; valid when Evicted.
 	EvictedAddr uint64
-	// WritebackAddr is the block address written back when the evicted
-	// block was dirty; valid only when EvictedDirty.
-	WritebackAddr uint64
-	// EvictedDirty is true when the evicted block was dirty.
-	EvictedDirty bool
 }
 
 // Cache is a set-associative cache with a pluggable management policy.
@@ -254,7 +252,6 @@ func (c *Cache) Access(a mem.Access) Result {
 		res.EvictedAddr = c.blockAddr(set, (k&^keyFlags)>>1)
 		if k&keyDirty != 0 {
 			res.EvictedDirty = true
-			res.WritebackAddr = res.EvictedAddr
 			c.stats.Writebacks++
 		}
 		if c.lines != nil {

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sdbp/internal/mem"
 )
@@ -118,11 +119,19 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 	if !r.Evicted || !r.EvictedDirty {
 		t.Fatalf("expected dirty eviction, got %+v", r)
 	}
-	if r.WritebackAddr != 0 {
-		t.Errorf("WritebackAddr = %#x, want 0", r.WritebackAddr)
+	if r.EvictedAddr != 0 {
+		t.Errorf("EvictedAddr = %#x, want 0", r.EvictedAddr)
 	}
 	if c.Stats().Writebacks != 1 {
 		t.Errorf("Writebacks = %d, want 1", c.Stats().Writebacks)
+	}
+}
+
+// TestResultLayout pins Result at 16 bytes: AccessBatch stores one
+// per access, and the four flags share the word before EvictedAddr.
+func TestResultLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Result{}); got != 16 {
+		t.Errorf("Result is %d bytes, want 16 (4 flag bytes + padding + 8 EvictedAddr)", got)
 	}
 }
 

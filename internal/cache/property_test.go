@@ -195,8 +195,8 @@ func TestPropertyEfficiencyAccounting(t *testing.T) {
 
 // TestPropertyWritebackOnlyForDirty checks the write-allocate /
 // write-back contract on a directed sequence: clean evictions never
-// report a writeback, dirty evictions always do, and the writeback
-// address is the evicted block's.
+// report a writeback, dirty evictions always do, and each reports the
+// evicted block's address.
 func TestPropertyWritebackOnlyForDirty(t *testing.T) {
 	cfg := cache.Config{Name: "wb1", SizeBytes: 2 * mem.BlockSize, Ways: 2}
 	c := cache.New(cfg, policy.NewLRU())
@@ -205,11 +205,11 @@ func TestPropertyWritebackOnlyForDirty(t *testing.T) {
 	c.Access(mem.Access{Addr: addr(0), Write: true}) // dirty fill
 	c.Access(mem.Access{Addr: addr(1)})              // clean fill
 	r := c.Access(mem.Access{Addr: addr(2)})         // evicts dirty block 0
-	if !r.Evicted || !r.EvictedDirty || r.WritebackAddr != addr(0) {
+	if !r.Evicted || !r.EvictedDirty || r.EvictedAddr != addr(0) {
 		t.Fatalf("dirty eviction: got %+v", r)
 	}
 	r = c.Access(mem.Access{Addr: addr(3)}) // evicts clean block 1
-	if !r.Evicted || r.EvictedDirty || r.WritebackAddr != 0 {
+	if !r.Evicted || r.EvictedDirty || r.EvictedAddr != addr(1) {
 		t.Fatalf("clean eviction: got %+v", r)
 	}
 	s := c.Stats()

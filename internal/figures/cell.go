@@ -102,9 +102,12 @@ func (c cell) run() (any, error) {
 // runCells returns the result or failure of every cell, by cell key.
 // Cells of one call share a kind, and T is that kind's result type.
 // Each distinct cell runs at most once per Env: duplicates within
-// cells and cells the Env already completed come from its memo and
-// are not runner jobs. Memoized results are shared, so callers treat
-// them as read-only.
+// cells and cells the Env already ran come from its memo and are not
+// runner jobs. The memo keeps failures too, so a failed cell is
+// reported once in Env.Failures and never retried by a later request;
+// the checkpoint journal still holds successes only, so -resume
+// recomputes it. Memoized results are shared, so callers treat them as
+// read-only.
 func runCells[T any](e *Env, cells []cell) *runner.Set[T] {
 	set := &runner.Set[T]{Values: map[string]T{}, Errors: map[string]*runner.JobError{}}
 	var jobs []runner.Job[T]
@@ -117,7 +120,11 @@ func runCells[T any](e *Env, cells []cell) *runner.Set[T] {
 		}
 		queued[k] = true
 		if v, ok := e.recall(k); ok {
-			set.Values[k] = v.(T)
+			if jerr, failed := v.(*runner.JobError); failed {
+				set.Errors[k] = jerr
+			} else {
+				set.Values[k] = v.(T)
+			}
 			continue
 		}
 		if c.kind == optimalRun {
@@ -142,6 +149,7 @@ func runCells[T any](e *Env, cells []cell) *runner.Set[T] {
 	}
 	for k, err := range ran.Errors {
 		set.Errors[k] = err
+		e.remember(k, err)
 	}
 	return set
 }

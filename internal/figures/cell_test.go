@@ -1,46 +1,79 @@
 package figures
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"sdbp/internal/exp"
 	"sdbp/internal/obs"
+	"sdbp/internal/runner"
 	"sdbp/internal/sim"
 )
 
 // TestEnvMemoRunsEachCellOnce pins the memo contract: a cell repeated
 // within one request or across requests on one Env is not a runner
-// job, a failed cell is not memoized (it runs again when asked again),
-// and a fresh Env shares nothing with the last one.
+// job, and a fresh Env shares nothing with the last one.
 func TestEnvMemoRunsEachCellOnce(t *testing.T) {
 	benches := pick(t, "456.hmmer")
-	specs := []exp.Policy{LRUSpec(), labeled("LRU again", "lru"), faultySpec()}
+	specs := []exp.Policy{LRUSpec(), labeled("LRU again", "lru")}
 	opts := sim.SingleOptions{Scale: tinyScale}
 	reg := obs.NewRegistry()
 	env := &Env{Obs: reg}
 	submitted := func() uint64 { return reg.CounterValue(obs.CtrJobsSubmitted) }
 
 	m := RunMatrixEnv(env, benches, specs, opts)
-	if got := submitted(); got != 2 {
-		t.Errorf("first request submitted %d jobs, want 2 (the repeated LRU cell runs once)", got)
+	if got := submitted(); got != 1 {
+		t.Errorf("first request submitted %d jobs, want 1 (the repeated LRU cell runs once)", got)
 	}
 	if a, b := m.Get("456.hmmer", "LRU"), m.Get("456.hmmer", "LRU again"); a.Instructions == 0 || a.MPKI != b.MPKI {
 		t.Errorf("repeated cell columns disagree: %+v vs %+v", a, b)
 	}
 
 	RunMatrixEnv(env, benches, specs, opts)
-	if got := submitted(); got != 3 {
-		t.Errorf("repeat request brought submissions to %d, want 3 (only the failed cell runs again)", got)
-	}
-	if got := len(env.Failures()); got != 2 {
-		t.Errorf("failures = %d, want 2 (the faulty cell, once per request)", got)
+	if got := submitted(); got != 1 {
+		t.Errorf("repeat request brought submissions to %d, want 1", got)
 	}
 
 	fresh := &Env{Obs: obs.NewRegistry()}
 	RunMatrixEnv(fresh, benches, specs[:1], opts)
 	if got := fresh.Obs.CounterValue(obs.CtrJobsSubmitted); got != 1 {
 		t.Errorf("fresh Env submitted %d jobs, want 1", got)
+	}
+}
+
+// TestEnvMemoRemembersFailures: when two sweeps on one Env request the
+// same faulty cell, it runs once and fails once, the second sweep gets
+// the same failure back, and the checkpoint journal stays free of it
+// so a resumed campaign recomputes it.
+func TestEnvMemoRemembersFailures(t *testing.T) {
+	benches := pick(t, "456.hmmer")
+	opts := sim.SingleOptions{Scale: tinyScale}
+	ck, err := runner.OpenCheckpoint(filepath.Join(t.TempDir(), "memo.ckpt"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	reg := obs.NewRegistry()
+	env := &Env{Obs: reg, Checkpoint: ck}
+
+	first := RunMatrixEnv(env, benches, []exp.Policy{faultySpec()}, opts)
+	second := RunMatrixEnv(env, benches, []exp.Policy{LRUSpec(), faultySpec()}, opts)
+	if got := reg.CounterValue(obs.CtrJobsSubmitted); got != 2 {
+		t.Errorf("runner submissions = %d, want 2 (the faulty cell once, LRU once)", got)
+	}
+	if got := len(env.Failures()); got != 1 {
+		t.Errorf("failures = %d, want 1 (the faulty cell, once)", got)
+	}
+	e1, e2 := first.Err("456.hmmer", "Faulty"), second.Err("456.hmmer", "Faulty")
+	if e1 == nil || e1 != e2 {
+		t.Errorf("second sweep's faulty cell error = %v, want the first sweep's %v", e2, e1)
+	}
+	if second.Err("456.hmmer", "LRU") != nil || second.Get("456.hmmer", "LRU").Instructions == 0 {
+		t.Errorf("healthy LRU cell beside the memoized failure did not run: %v", second.Err("456.hmmer", "LRU"))
+	}
+	if got := ck.Len(); got != 1 {
+		t.Errorf("checkpoint journal holds %d cells, want 1 (the LRU success only)", got)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // callback — through every figure, table and sweep. One Env spans a
 // whole campaign, accumulating every job failure so the caller can
 // render a failure summary and choose its exit status, and memoizing
-// every completed cell so a simulation that several figures read runs
+// every cell it ran so a simulation that several figures read runs
 // once (see runCells). The zero-ish value from DefaultEnv runs
 // everything inline with no timeout, checkpoint or progress, matching
 // the pre-runner behavior; a fresh Env shares nothing with another.
@@ -44,8 +44,8 @@ type Env struct {
 
 	mu       sync.Mutex
 	failures []*runner.JobError
-	// memo holds every cell result this Env completed, by cell key
-	// (see runCells); made on first use.
+	// memo holds the result, or the *runner.JobError, of every cell
+	// this Env ran, by cell key (see runCells); made on first use.
 	memo map[string]any
 }
 
@@ -79,7 +79,7 @@ func (e *Env) note(errs []*runner.JobError) {
 	e.mu.Unlock()
 }
 
-// recall returns a memoized cell result.
+// recall returns a memoized cell result or failure.
 func (e *Env) recall(key string) (any, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -87,7 +87,8 @@ func (e *Env) recall(key string) (any, bool) {
 	return v, ok
 }
 
-// remember memoizes a completed cell result for the Env's lifetime.
+// remember memoizes a cell's result or failure for the Env's
+// lifetime.
 func (e *Env) remember(key string, v any) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

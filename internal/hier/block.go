@@ -83,7 +83,7 @@ func (c *Core) FilterBlock(as []mem.Access, out []Filtered) {
 		if a.DependentLoad {
 			f.Flags |= FDep
 		}
-		hit, ev, evd, _ := c.L1.AccessPrivate(*a)
+		hit, ev, evd := c.L1.AccessPrivate(*a)
 		if hit {
 			f.Flags |= FL1Hit
 			out[i] = f
@@ -95,7 +95,7 @@ func (c *Core) FilterBlock(as []mem.Access, out []Filtered) {
 		if evd {
 			f.Flags |= FL1Writeback
 		}
-		hit, ev, evd, _ = c.L2.AccessPrivate(*a)
+		hit, ev, evd = c.L2.AccessPrivate(*a)
 		if hit {
 			f.Flags |= FL2Hit
 			out[i] = f

@@ -9,20 +9,20 @@ import (
 
 // Live progress streaming: every submission opens (or reuses) a
 // per-address event feed recording the job's lifecycle in publish
-// order — submitted → queued → coalesced → running → progress… →
-// stored → done on the miss path, submitted → cached → done on a hit,
-// with failed terminating an unsuccessful job. GET
-// /v1/jobs/{addr}/events serves the feed as Server-Sent Events: the
-// full history first (so watching a finished job replays its complete,
-// deterministically ordered lifecycle), then the live tail until the
-// feed closes or the client disconnects.
+// order — submitted → queued → running → progress… → stored → done on
+// the miss path, submitted → cached → done on a hit, with failed
+// terminating an unsuccessful job. GET /v1/jobs/{addr}/events serves
+// the feed as Server-Sent Events: the full history first (so watching
+// a finished job replays its complete, deterministically ordered
+// lifecycle), then the live tail until the feed closes or the client
+// disconnects.
 
 // JobEvent is one lifecycle event on a job's feed.
 type JobEvent struct {
 	// Seq numbers events within the feed from 0.
 	Seq int `json:"seq"`
-	// Type is the lifecycle stage: submitted, cached, queued,
-	// coalesced, running, progress, stored, done, failed.
+	// Type is the lifecycle stage: submitted, cached, queued, running,
+	// progress, stored, done, failed.
 	Type string `json:"type"`
 	// Addr is the job's content address.
 	Addr string `json:"addr"`

@@ -103,7 +103,7 @@ func TestJobEventLifecycle(t *testing.T) {
 	addr := resp.Header.Get("X-Sdbpd-Addr")
 
 	evs := readSSE(t, ts, addr)
-	want := []string{"submitted", "queued", "coalesced", "running", "progress", "stored", "done"}
+	want := []string{"submitted", "queued", "running", "progress", "stored", "done"}
 	got := eventTypes(evs)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("lifecycle = %v, want %v", got, want)
@@ -119,7 +119,7 @@ func TestJobEventLifecycle(t *testing.T) {
 			t.Errorf("event %d type %q != SSE event name %q", i, ev.data.Type, ev.event)
 		}
 	}
-	prog := evs[4].data
+	prog := evs[3].data
 	if prog.Done != 1 || prog.Total != 1 || prog.Detail != "456.hmmer" {
 		t.Errorf("progress event = %+v, want 1/1 456.hmmer", prog)
 	}
@@ -189,7 +189,7 @@ func TestEventsLiveTail(t *testing.T) {
 	got := eventTypes(parseSSE(t, resp))
 	// WrapJob replaces the real execution, so there are no progress
 	// events — but the stream must still end with stored + done.
-	want := []string{"submitted", "queued", "coalesced", "running", "stored", "done"}
+	want := []string{"submitted", "queued", "running", "stored", "done"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("live lifecycle = %v, want %v", got, want)
 	}

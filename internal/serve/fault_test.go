@@ -33,7 +33,7 @@ import (
 )
 
 // specN builds the N-th distinct valid submission body (distinct
-// canonical specs, so no coalescing by address).
+// canonical specs, so no sharing by address).
 func specN(n int) string {
 	return fmt.Sprintf(`{"policy":"LRU","workloads":["456.hmmer"],"scale":%g}`, 0.01+float64(n)*0.001)
 }
@@ -50,8 +50,8 @@ func waitCounter(t *testing.T, reg *obs.Registry, name string, want uint64) {
 	}
 }
 
-// TestQueueFullBackpressure fills the pipeline — one executing batch,
-// a full admission queue — then hammers the handler directly with
+// TestQueueFullBackpressure fills the pipeline — one running job, a
+// full admission queue — then hammers the handler directly with
 // distinct submissions. Every one must bounce as 429 + Retry-After
 // without spawning pipeline goroutines: backpressure is a rejected
 // request, not a parked one.
@@ -60,8 +60,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	var execs atomic.Int64
 	cfg := quietCfg()
 	cfg.Queue = 2
-	cfg.Batches = 1
-	cfg.MaxBatch = 1
+	cfg.Workers = 1
 	cfg.WrapJob = func(addr string, run func(context.Context) (serve.Result, error)) func(context.Context) (serve.Result, error) {
 		return func(ctx context.Context) (serve.Result, error) {
 			execs.Add(1)
@@ -72,13 +71,11 @@ func TestQueueFullBackpressure(t *testing.T) {
 	s, ts := newTestServer(t, cfg)
 	reg := s.Registry()
 
-	// Occupy the only batch slot, then fill the queue behind it. The
-	// batcher immediately pulls one task off the queue while forming
-	// its next batch, so it takes queue capacity + 1 waiting
-	// submissions to saturate the intake.
+	// Occupy the only run slot, then fill the queue behind it: it takes
+	// Workers + Queue submissions to saturate the intake.
 	var wg sync.WaitGroup
-	results := make([]int, 4)
-	for i := 0; i < 4; i++ {
+	results := make([]int, 3)
+	for i := range results {
 		i := i
 		wg.Add(1)
 		go func() {
@@ -86,26 +83,19 @@ func TestQueueFullBackpressure(t *testing.T) {
 			resp, _ := submit(t, ts, specN(i))
 			results[i] = resp.StatusCode
 		}()
-		if i == 0 {
-			waitCounter(t, reg, serve.CtrBatches, 1) // first job executing
-		}
 	}
-	// Wait until the queue is physically full. The depth gauge is set
-	// at each /metrics scrape, so scrape-then-read until it reports the
-	// configured capacity; probing with a real submission instead would
-	// risk being admitted — and blocking — in the window before the
-	// four pipeline goroutines finish pushing.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		get(t, ts, "/metrics")
-		if reg.Gauge(serve.GaugeQueueDepth).Value() == float64(cfg.Queue) {
-			break
+	// Wait until the slot is taken and the queue is physically full.
+	// The depth gauge is set at each /metrics scrape, so scrape-then-
+	// read until it reports the configured capacity; probing with a
+	// real submission instead would risk being admitted — and blocking
+	// — in the window before the three submissions arrive.
+	waitFor(t, ts, func() string {
+		running, depth := execs.Load(), reg.Gauge(serve.GaugeQueueDepth).Value()
+		if running == 1 && depth == float64(cfg.Queue) {
+			return ""
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never saturated")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return fmt.Sprintf("%d running, queue depth %g; want 1 and %d", running, depth, cfg.Queue)
+	})
 
 	// Hammer the saturated server through the handler directly (no
 	// network, no server-side conn goroutines) and watch goroutines.
@@ -138,20 +128,18 @@ func TestQueueFullBackpressure(t *testing.T) {
 			t.Errorf("admitted submission %d: HTTP %d, want 200", i, code)
 		}
 	}
-	if n := execs.Load(); n != 4 {
-		t.Errorf("executions = %d, want 4 (the admitted jobs, none of the rejected)", n)
+	if n := execs.Load(); n != 3 {
+		t.Errorf("executions = %d, want 3 (the admitted jobs, none of the rejected)", n)
 	}
 }
 
-// TestPanicFailsOnlyThatJob coalesces a panicking job and a healthy
-// one into a single batch; the panic must come back as that job's 500
-// while the healthy job completes normally.
+// TestPanicFailsOnlyThatJob runs a panicking job and a healthy one
+// side by side; the panic must come back as that job's 500 while the
+// healthy job completes normally.
 func TestPanicFailsOnlyThatJob(t *testing.T) {
 	poisonAddr := make(map[string]bool)
 	var mu sync.Mutex
 	cfg := quietCfg()
-	cfg.MaxBatch = 2
-	cfg.BatchWait = 200 * time.Millisecond // wide window: both jobs coalesce
 	cfg.WrapJob = func(addr string, run func(context.Context) (serve.Result, error)) func(context.Context) (serve.Result, error) {
 		return func(ctx context.Context) (serve.Result, error) {
 			mu.Lock()
@@ -193,7 +181,7 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 		t.Errorf("poisoned job error does not mention the panic: %s", poisonBody)
 	}
 	if healthyCode != http.StatusOK {
-		t.Errorf("healthy job in the same batch: HTTP %d, want 200", healthyCode)
+		t.Errorf("healthy job beside the panic: HTTP %d, want 200", healthyCode)
 	}
 	reg := s.Registry()
 	if got := reg.CounterValue(obs.CtrJobPanics); got != 1 {
@@ -304,8 +292,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	cfg := quietCfg()
-	cfg.Batches = 1
-	cfg.MaxBatch = 1
+	cfg.Workers = 1
 	cfg.Queue = 4
 	cfg.WrapJob = func(addr string, run func(context.Context) (serve.Result, error)) func(context.Context) (serve.Result, error) {
 		return func(ctx context.Context) (serve.Result, error) {

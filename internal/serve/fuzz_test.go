@@ -51,8 +51,8 @@ func FuzzSubmitDecode(f *testing.F) {
 	f.Add(`{"policy":"` + strings.Repeat("(", 4096) + `"}`)
 
 	cfg := serve.Config{
-		Log:       log.New(io.Discard, "", 0),
-		BatchWait: time.Millisecond,
+		Log:     log.New(io.Discard, "", 0),
+		Workers: 2,
 		WrapJob: func(addr string, run func(context.Context) (serve.Result, error)) func(context.Context) (serve.Result, error) {
 			return func(ctx context.Context) (serve.Result, error) {
 				return serve.Result{Schema: serve.ResultSchema, Spec: "fuzz", Addr: addr}, nil

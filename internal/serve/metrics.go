@@ -4,8 +4,8 @@ package serve
 // accounting and sim_* aggregates that internal/runner and
 // internal/sim already publish into the same registry. The /metrics
 // endpoint serves the whole registry as one obs.Snapshot, so a scrape
-// sees the full pipeline: HTTP intake, admission, coalescing, cache,
-// singleflight, job execution and simulated work.
+// sees the full pipeline: HTTP intake, cache, singleflight, admission,
+// job execution and simulated work.
 const (
 	// CtrHTTPRequests counts every request the handler saw.
 	CtrHTTPRequests = "serve_http_requests"
@@ -29,11 +29,6 @@ const (
 	// CtrShutdownRejects counts submissions refused or abandoned
 	// because the server was draining (HTTP 503).
 	CtrShutdownRejects = "serve_shutdown_rejects"
-	// CtrBatches counts executed coalesced batches; CtrBatchJobs the
-	// tasks inside them, so CtrBatchJobs/CtrBatches is the mean
-	// coalesce factor.
-	CtrBatches   = "serve_batches"
-	CtrBatchJobs = "serve_batch_jobs"
 	// CtrStoreErrors counts storage-backend failures the server
 	// absorbed (degraded cache, request still served).
 	CtrStoreErrors = "serve_store_errors"

@@ -112,7 +112,7 @@ func (r Result) Marshal() ([]byte, error) {
 
 // ExecuteSpec runs every workload and mix of a resolved spec and
 // assembles the manifest. The context is checked between runs —
-// individual simulations are not preemptible — so a canceled batch
+// individual simulations are not preemptible — so a canceled job
 // stops at the next boundary. Live simulator counters are folded into
 // reg at each run boundary, keeping the per-access path metric-free.
 // progress, when non-nil, is called after each completed work unit

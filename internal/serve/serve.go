@@ -9,7 +9,7 @@
 //
 //	decode → resolve → content address → result cache
 //	       → singleflight → bounded admission queue
-//	       → coalescing batcher → runner pool → cache + checkpoint
+//	       → one of Workers run slots → runner → cache + checkpoint
 //
 // Stage by stage:
 //
@@ -18,11 +18,11 @@
 //     any JSON spelling — share one cached result.
 //   - Concurrent identical submissions collapse in the singleflight
 //     layer: N in-flight duplicates cost one simulation.
-//   - Distinct submissions wait in a bounded admission queue; a full
-//     queue answers 429 + Retry-After instead of growing goroutines.
-//   - The batcher coalesces whatever arrives within a small max-wait
-//     window into one runner.Run call, inheriting the runner's panic
-//     isolation, per-job timeout, retry/backoff and checkpoint
+//   - The singleflight leader runs its own job. It takes an admission
+//     token — a full queue answers 429 + Retry-After instead of growing
+//     goroutines — then waits for one of Config.Workers run slots and
+//     runs the job as a one-job runner.Run, inheriting the runner's
+//     panic isolation, per-job timeout, retry/backoff and checkpoint
 //     journaling.
 //   - Shutdown drains: admission closes, queued work settles with 503,
 //     in-flight simulations finish and land in the JSONL checkpoint,
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -50,17 +51,11 @@ import (
 // Config tunes a Server. The zero value is usable: every field has a
 // serving-grade default.
 type Config struct {
-	// Queue bounds the admission queue; 0 means 64. A full queue is
-	// explicit backpressure: 429 + Retry-After.
+	// Queue bounds the admission queue, the admitted jobs waiting for
+	// a run slot; 0 means 64. A full queue is explicit backpressure:
+	// 429 + Retry-After.
 	Queue int
-	// MaxBatch caps a coalesced batch; 0 means 16.
-	MaxBatch int
-	// BatchWait is the coalescing window measured from the first task
-	// of a batch; 0 means 10ms.
-	BatchWait time.Duration
-	// Batches bounds concurrently executing batches; 0 means 2.
-	Batches int
-	// Workers is the runner pool size per batch; 0 means NumCPU.
+	// Workers caps concurrently running jobs; 0 means NumCPU.
 	Workers int
 	// JobTimeout bounds each job attempt; 0 means no limit.
 	JobTimeout time.Duration
@@ -92,14 +87,8 @@ func (c Config) withDefaults() Config {
 	if c.Queue <= 0 {
 		c.Queue = 64
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 10 * time.Millisecond
-	}
-	if c.Batches <= 0 {
-		c.Batches = 2
+	if c.Workers <= 0 {
+		c.Workers = runtime.NumCPU()
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20
@@ -129,8 +118,7 @@ type Server struct {
 	reg     *obs.Registry
 	store   Store
 	flights *flightGroup
-	q       *admission
-	b       *batcher
+	adm     *admission
 	traces  *traceStore
 	events  *eventBroker
 
@@ -140,8 +128,7 @@ type Server struct {
 	started time.Time
 }
 
-// New builds and starts a server's pipeline (the batcher goroutine);
-// the caller still owns serving its Handler.
+// New builds a server; the caller owns serving its Handler.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -149,50 +136,29 @@ func New(cfg Config) *Server {
 		reg:     cfg.Obs,
 		store:   cfg.Store,
 		flights: newFlightGroup(),
-		q:       newAdmission(cfg.Queue),
+		adm:     newAdmission(cfg.Queue, cfg.Workers),
 		traces:  newTraceStore(cfg.Traces),
 		events:  newEventBroker(cfg.Traces),
 		started: time.Now(),
 	}
 	s.runCtx, s.cancel = context.WithCancel(context.Background())
-	s.b = &batcher{
-		q:        s.q,
-		maxWait:  cfg.BatchWait,
-		maxBatch: cfg.MaxBatch,
-		runCtx:   s.runCtx,
-		opts: runner.Options{
-			Workers:    cfg.Workers,
-			Timeout:    cfg.JobTimeout,
-			Retries:    cfg.Retries,
-			Checkpoint: cfg.Checkpoint,
-			Obs:        cfg.Obs,
-		},
-		reg:     cfg.Obs,
-		store:   cfg.Store,
-		wrapJob: cfg.WrapJob,
-		warnf:   cfg.Log.Printf,
-		events:  s.events,
-		sem:     make(chan struct{}, cfg.Batches),
-	}
-	s.b.start()
 	s.ready.Store(true)
 	return s
 }
 
 // Shutdown drains the server: admission closes immediately (new work
 // gets 503 + Retry-After; cached results are still served), queued
-// tasks settle with 503, executing batches finish their in-flight
-// simulations — journaling each into the checkpoint — and queued jobs
-// inside them drain. It returns ctx.Err() if draining outlives the
-// deadline; the pipeline still shuts down behind it.
+// jobs settle with 503, and running jobs finish their simulations —
+// journaling each into the checkpoint — and store their results. It
+// returns ctx.Err() if draining outlives the deadline, and then
+// abandons the stragglers.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.ready.CompareAndSwap(true, false) {
 		return nil
 	}
-	s.q.close()
-	err := s.b.shutdown(ctx)
+	err := s.adm.drain(ctx)
 	// Cancel the run context only once the drain has settled: canceling
-	// it earlier would abandon the in-flight batch mid-simulation (the
+	// it earlier would abandon the running jobs mid-simulation (the
 	// runner observes cancellation immediately), turning the drain
 	// guarantee into a 503. After a drain timeout this cancel is what
 	// force-abandons the stragglers.
@@ -244,7 +210,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, addr string, err 
 
 // handleSubmit is the job intake: decode strictly, resolve to the
 // canonical spec, and answer from the cache, an in-flight duplicate,
-// or a freshly admitted task — in that order, cheapest first. The
+// or a freshly admitted job — in that order, cheapest first. The
 // whole path runs under one job trace whose contiguous stage spans
 // (decode, cache_lookup, execute) reconcile against the root span —
 // which ends immediately before the response is written.
@@ -321,19 +287,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			execSpan.SetAttr("source", "cache-race")
 			return data, nil
 		}
-		t := &task{addr: addr, spec: canonical, resolved: resolved, done: make(chan struct{}),
-			exec: execSpan}
-		t.queue = execSpan.StartChild("queue_wait")
-		// Publish before the push: once the task is in the channel the
-		// batcher races us, and "queued" must precede its "coalesced".
-		s.events.publish(addr, "queued", "", 0, 0)
-		if err := s.q.push(t); err != nil {
-			t.queue.SetAttr("error", err.Error())
-			t.queue.End()
-			return nil, err
-		}
-		<-t.done
-		return t.val, t.err
+		return s.execute(execSpan, addr, canonical, resolved)
 	})
 	if joined {
 		s.reg.Counter(CtrSingleflightShared).Inc()
@@ -368,6 +322,69 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.events.finish(addr, "failed", err.Error())
 		s.writeError(w, http.StatusInternalServerError, addr, err)
 	}
+}
+
+// execute runs one cache-miss job and returns its manifest. Its stages
+// are the execute span's children: queue_wait (an admission token,
+// then a run slot), run (a one-job runner.Run, one attempt child per
+// try) and store. The job holds its run slot until its result is
+// stored.
+func (s *Server) execute(exec *obs.Span, addr, spec string, resolved *exp.Resolved) ([]byte, error) {
+	queue := exec.StartChild("queue_wait")
+	s.events.publish(addr, "queued", "", 0, 0)
+	if err := s.adm.acquire(); err != nil {
+		queue.SetAttr("error", err.Error())
+		queue.End()
+		return nil, err
+	}
+	defer s.adm.release()
+	queue.End()
+
+	run := exec.StartChild("run")
+	s.events.publish(addr, "running", "", 0, 0)
+	job := func(ctx context.Context) (Result, error) {
+		return ExecuteSpec(ctx, resolved, s.reg, func(done, total int, name string) {
+			s.events.publish(addr, "progress", name, done, total)
+		})
+	}
+	if s.cfg.WrapJob != nil {
+		job = s.cfg.WrapJob(addr, job)
+	}
+	set := runner.Run(s.runCtx, []runner.Job[Result]{{Key: spec, Run: job, Span: run}}, runner.Options{
+		Workers:    1,
+		Timeout:    s.cfg.JobTimeout,
+		Retries:    s.cfg.Retries,
+		Checkpoint: s.cfg.Checkpoint,
+		Obs:        s.reg,
+	})
+	res, ok := set.Value(spec)
+	if !ok {
+		err := set.Err(spec)
+		run.SetAttr("error", err.Error())
+		run.End()
+		return nil, err
+	}
+	run.End()
+
+	storeSpan := exec.StartChild("store")
+	defer storeSpan.End()
+	data, err := res.Marshal()
+	if err != nil {
+		storeSpan.SetAttr("error", err.Error())
+		return nil, err
+	}
+	// A storage failure degrades the cache, not the request: the
+	// submitter still gets its manifest, the next identical submission
+	// just recomputes.
+	if err := s.store.Put(addr, data); err != nil {
+		s.reg.Counter(CtrStoreErrors).Inc()
+		storeSpan.SetAttr("error", err.Error())
+		s.cfg.Log.Printf("serve: caching result %s: %v", addr, err)
+	}
+	// "stored" precedes the waiters' terminal "done", which the handler
+	// publishes once this returns.
+	s.events.publish(addr, "stored", "", 0, 0)
+	return data, nil
 }
 
 // cacheGet consults the store, absorbing backend failures as misses
@@ -428,7 +445,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // consumers), or Prometheus text exposition when the client asks for
 // text/plain or openmetrics — or forces it with ?format=prom.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reg.Gauge(GaugeQueueDepth).Set(float64(s.q.depth()))
+	s.reg.Gauge(GaugeQueueDepth).Set(float64(s.adm.depth()))
 	snap := s.reg.Snapshot()
 	if wantsPrometheus(r) {
 		var buf bytes.Buffer

@@ -17,12 +17,12 @@ import (
 	"sdbp/internal/serve"
 )
 
-// quietCfg returns a config with warnings discarded and fast
-// coalescing, the baseline for most tests.
+// quietCfg returns a config with warnings discarded and two run
+// slots, the baseline for most tests.
 func quietCfg() serve.Config {
 	return serve.Config{
-		Log:       log.New(io.Discard, "", 0),
-		BatchWait: time.Millisecond,
+		Log:     log.New(io.Discard, "", 0),
+		Workers: 2,
 	}
 }
 

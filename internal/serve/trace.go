@@ -14,7 +14,7 @@ import (
 // Job tracing: every submission owns one obs.Trace whose root "job"
 // span breaks into contiguous stage children (decode, cache_lookup,
 // execute), with the execute stage subdivided by the pipeline
-// (queue_wait, coalesce, run with per-attempt children, store). The
+// (queue_wait, run with per-attempt children, store). The
 // trace is registered under the job's content address as soon as the
 // address is known — a trace fetched mid-flight shows the stages
 // completed so far — and the root span ends just before the response

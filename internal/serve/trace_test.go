@@ -59,7 +59,7 @@ func TestJobTraceCompleteAndReconciles(t *testing.T) {
 	names := spanNames(spans)
 	for _, want := range []string{
 		"job", "stage:decode", "stage:cache_lookup", "stage:execute",
-		"queue_wait", "coalesce", "run", "attempt", "store",
+		"queue_wait", "run", "attempt", "store",
 	} {
 		if names[want] == 0 {
 			t.Errorf("trace missing %q span: have %v", want, names)
