@@ -120,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "stream length multiplier")
 	only := fs.String("only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	timeout := fs.Duration("timeout", 0, "per-job timeout (0 = none)")
-	retries := fs.Int("retries", 0, "per-job retry budget for transient failures")
 	checkpoint := fs.String("checkpoint", "", "journal completed cells to this file")
 	resume := fs.Bool("resume", false, "skip cells already in the checkpoint (default file experiments.ckpt)")
 	quiet := fs.Bool("quiet", false, "suppress per-job progress logging")
@@ -204,7 +203,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	env := figures.DefaultEnv()
 	env.Ctx = ctx
 	env.Timeout = *timeout
-	env.Retries = *retries
 	env.Obs = reg
 	if !*quiet {
 		env.Progress = progressLogger(stderr)
@@ -360,8 +358,7 @@ func summarize(env *figures.Env, ctx context.Context, checkpoint string, stderr 
 	if len(failures) > 0 {
 		fmt.Fprintf(stderr, "\nexperiments: %d job(s) failed; their cells are marked ERR above\n", len(failures))
 		for _, f := range failures {
-			fmt.Fprintf(stderr, "  %s: %v (attempt %d, ran %s)\n",
-				f.Key, f.Err, f.Attempts, f.Duration.Round(time.Millisecond))
+			fmt.Fprintf(stderr, "  %s: %v (ran %s)\n", f.Key, f.Err, f.Duration.Round(time.Millisecond))
 		}
 	}
 	switch {

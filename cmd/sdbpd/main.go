@@ -54,7 +54,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	queue := fs.Int("queue", 64, "admission queue capacity (jobs waiting to run); a full queue answers 429")
 	workers := fs.Int("workers", 0, "max concurrently running jobs (0 = NumCPU)")
 	timeout := fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-	retries := fs.Int("retries", 0, "per-job retry budget for transient failures")
 	checkpoint := fs.String("checkpoint", "", "journal completed jobs to this JSONL file for crash-safe resume")
 	resume := fs.Bool("resume", false, "load the checkpoint so finished jobs are not re-simulated")
 	storeKind := fs.String("store", "mem", "result cache backend: mem or disk")
@@ -114,7 +113,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		Queue:      *queue,
 		Workers:    *workers,
 		JobTimeout: *timeout,
-		Retries:    *retries,
 		Store:      store,
 		Checkpoint: ck,
 		Log:        logger,

@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var gen trace.Generator
+	var gen trace.BatchGenerator
 	var name, class string
 	if *inFile != "" {
 		f, err := os.Open(*inFile)
@@ -89,24 +89,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *csv {
 		fmt.Fprintln(out, "pc,addr,write,dependent,gap")
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				return 0
-			}
+		each(gen, func(a mem.Access) bool {
 			fmt.Fprintf(out, "%#x,%#x,%t,%t,%d\n", a.PC, a.Addr, a.Write, a.DependentLoad, a.Gap)
-		}
+			return true
+		})
+		return 0
 	}
 
 	if *head > 0 {
 		fmt.Fprintf(out, "%-18s %-18s %-5s %-4s %s\n", "pc", "addr", "write", "dep", "gap")
-		for i := 0; i < *head; i++ {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
+		printed := 0
+		each(gen, func(a mem.Access) bool {
 			fmt.Fprintf(out, "%#-18x %#-18x %-5t %-4t %d\n", a.PC, a.Addr, a.Write, a.DependentLoad, a.Gap)
-		}
+			printed++
+			return printed < *head
+		})
 		gen.Reset()
 	}
 
@@ -119,11 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		blocks                 = map[uint64]uint64{}
 		pcs                    = map[uint64]uint64{}
 	)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
+	each(gen, func(a mem.Access) bool {
 		accesses++
 		instructions += uint64(a.Gap) + 1
 		if a.Write {
@@ -134,7 +127,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		blocks[mem.BlockNumber(a.Addr)]++
 		pcs[a.PC]++
-	}
+		return true
+	})
 	if accesses == 0 {
 		fmt.Fprintln(out, "empty trace")
 		return 0
@@ -156,4 +150,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(out, "touches/block:  mean %.2f, max %d\n",
 		float64(accesses)/float64(len(blocks)), maxTouch)
 	return 0
+}
+
+// each calls f on the generator's accesses in stream order until the
+// stream ends or f returns false.
+func each(gen trace.BatchGenerator, f func(mem.Access) bool) {
+	var buf [256]mem.Access
+	for k := gen.NextBatch(buf[:]); k > 0; k = gen.NextBatch(buf[:]) {
+		for _, a := range buf[:k] {
+			if !f(a) {
+				return
+			}
+		}
+	}
 }

@@ -3,17 +3,19 @@ package exp
 // Sampled execution for declarative specs: the pilot run (full
 // simulation with interval telemetry), interval selection and window
 // materialization are cached per workload/scale/geometry/selector
-// configuration, so a campaign that sweeps N policies over the same
-// workloads pays the pilot and the generation pass once and replays
-// the materialized windows N times. That amortization is what makes
-// sampled sdbpd jobs cheap: the replay simulates ~a tenth of the
-// stream per policy.
+// configuration in the process memo, so a campaign that sweeps N
+// policies over the same workloads pays the pilot and the generation
+// pass once and replays the materialized windows N times. That
+// amortization is what makes sampled sdbpd jobs cheap: the replay
+// simulates ~a tenth of the stream per policy. The memo's byte budget
+// bounds how many pilots stay resident; an evicted one is piloted
+// again when next requested.
 
 import (
 	"fmt"
-	"sync"
 
 	"sdbp/internal/cache"
+	"sdbp/internal/memo"
 	"sdbp/internal/sampling"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
@@ -29,23 +31,17 @@ const DefaultSampleInterval = 50_000
 // against any policy afterwards.
 const PilotPolicy = "Sampler"
 
-// sampledEntry is one cached pilot: the selected plan and the
-// materialized warm-up/measure windows. Entries are created under the
-// cache lock but filled inside their own once, so concurrent requests
-// for the same key share a single pilot run. The materialized windows
-// are replayed read-only.
-type sampledEntry struct {
-	once sync.Once
+// pilot is one cached pilot: the selected plan and the materialized
+// warm-up/measure windows, replayed read-only by every policy.
+type pilot struct {
 	plan sampling.Plan
 	mat  *sim.Materialized
-	err  error
 }
 
-var (
-	sampledMu    sync.Mutex
-	sampledCache = map[string]*sampledEntry{}
-	pilotRuns    int // behind sampledMu; tests assert amortization
-)
+// pilots holds pilots in the process memo, keyed by sampledKey. An
+// evicted pilot is piloted again on its next request; its plan and
+// windows are deterministic, so the replayed result is the same.
+var pilots = memo.New[string, *pilot]()
 
 // sampledKey identifies a pilot: everything that shapes the plan and
 // the windows. The target policy is deliberately absent — that is the
@@ -60,36 +56,32 @@ func sampledKey(w workloads.Workload, scale float64, llc cache.Config, interval 
 // for one workload under the resolved spec's sampling knobs.
 func (r *Resolved) sampledPlan(w workloads.Workload) (*sampling.Plan, *sim.Materialized, error) {
 	llc := r.LLCFor(r.Cores)
-	key := sampledKey(w, r.Scale, llc, r.SampleInterval, r.SampleConfig)
-	sampledMu.Lock()
-	e, ok := sampledCache[key]
-	if !ok {
-		e = &sampledEntry{}
-		sampledCache[key] = e
-	}
-	sampledMu.Unlock()
-	e.once.Do(func() {
-		sampledMu.Lock()
-		pilotRuns++
-		sampledMu.Unlock()
-		pilot := MustResolvePolicy(PilotPolicy)
+	p, err := pilots.Do(sampledKey(w, r.Scale, llc, r.SampleInterval, r.SampleConfig), func() (*pilot, int, error) {
 		opts := sim.SingleOptions{Scale: r.Scale, LLC: llc}
-		plan, err := sim.SelectPlan(w, pilot.Make(r.Cores), opts, r.SampleInterval, r.SampleConfig)
+		plan, err := sim.SelectPlan(w, MustResolvePolicy(PilotPolicy).Make(r.Cores), opts, r.SampleInterval, r.SampleConfig)
 		if err != nil {
-			e.err = err
-			return
+			return nil, 0, err
 		}
-		mat, err := sim.MaterializeSampled(w, &plan, r.Scale)
-		if err != nil {
-			e.err = err
-			return
+		p := &pilot{plan: plan}
+		if p.mat, err = sim.MaterializeSampled(w, &p.plan, r.Scale); err != nil {
+			return nil, 0, err
 		}
-		e.plan, e.mat = plan, mat
+		return p, p.bytes(), nil
 	})
-	if e.err != nil {
-		return nil, nil, e.err
+	if err != nil {
+		return nil, nil, err
 	}
-	return &e.plan, e.mat, nil
+	return &p.plan, p.mat, nil
+}
+
+// bytes is the pilot's memo size: the plan's picks and the windows'
+// records.
+func (p *pilot) bytes() int {
+	n := memo.SliceBytes(p.plan.Picks) + memo.SliceBytes(p.mat.Windows)
+	for _, win := range p.mat.Windows {
+		n += memo.SliceBytes(win.Warm) + memo.SliceBytes(win.Measure)
+	}
+	return n
 }
 
 // RunBenchSampled runs one of the spec's workloads in sampled mode:
@@ -110,22 +102,4 @@ func (r *Resolved) RunBenchSampled(w workloads.Workload) (sim.SampledResult, *sa
 		return sim.SampledResult{}, nil, err
 	}
 	return res, plan, nil
-}
-
-// ResetSampledCache drops every cached pilot (tests and long-running
-// services that change workload definitions; production sdbpd keeps
-// the cache for the process lifetime).
-func ResetSampledCache() {
-	sampledMu.Lock()
-	defer sampledMu.Unlock()
-	sampledCache = map[string]*sampledEntry{}
-	pilotRuns = 0
-}
-
-// SampledPilotRuns reports how many pilot simulations have run since
-// the last reset — the amortization observability hook.
-func SampledPilotRuns() int {
-	sampledMu.Lock()
-	defer sampledMu.Unlock()
-	return pilotRuns
 }

@@ -89,9 +89,6 @@ func TestSampledResolveDefaults(t *testing.T) {
 }
 
 func TestRunBenchSampledAmortizesPilot(t *testing.T) {
-	ResetSampledCache()
-	t.Cleanup(ResetSampledCache)
-
 	spec, err := ParseSpec(sampledTestSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +108,12 @@ func TestRunBenchSampledAmortizesPilot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunBenchSampled(lru): %v", err)
 	}
-	resSmp, _, err := smp.RunBenchSampled(w)
+	resSmp, planSmp, err := smp.RunBenchSampled(w)
 	if err != nil {
 		t.Fatalf("RunBenchSampled(Sampler): %v", err)
 	}
-	if got := SampledPilotRuns(); got != 1 {
-		t.Fatalf("two policies cost %d pilot runs, want 1 (shared cache)", got)
+	if planSmp != plan {
+		t.Fatal("two policies got distinct plans, want the one cached pilot")
 	}
 	if plan == nil || len(plan.Picks) == 0 {
 		t.Fatal("no plan returned")
@@ -152,9 +149,6 @@ func TestRunBenchSampledRequiresSampledSpec(t *testing.T) {
 }
 
 func TestRunBenchSampledEstimateWithinBounds(t *testing.T) {
-	ResetSampledCache()
-	t.Cleanup(ResetSampledCache)
-
 	spec, err := ParseSpec(sampledTestSpec)
 	if err != nil {
 		t.Fatal(err)

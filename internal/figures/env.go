@@ -13,12 +13,11 @@ import (
 )
 
 // Env carries the cross-cutting execution machinery — cancellation,
-// per-job timeout, retry budget, checkpoint journal and progress
-// callback — through every figure, table and sweep. One Env spans a
-// whole campaign, accumulating every job failure so the caller can
-// render a failure summary and choose its exit status, and memoizing
-// every cell it ran so a simulation that several figures read runs
-// once (see runCells). The zero-ish value from DefaultEnv runs
+// per-job timeout, checkpoint journal and progress callback — through
+// every figure, table and sweep. One Env spans a whole campaign,
+// accumulating every job failure so the caller can render a failure
+// summary and choose its exit status, and memoizing every cell it ran
+// so a simulation that several figures read runs once (see runCells). The zero-ish value from DefaultEnv runs
 // everything inline with no timeout, checkpoint or progress, matching
 // the pre-runner behavior; a fresh Env shares nothing with another.
 type Env struct {
@@ -26,8 +25,6 @@ type Env struct {
 	Ctx context.Context
 	// Timeout bounds each job; 0 means no limit.
 	Timeout time.Duration
-	// Retries is the per-job retry budget for transient failures.
-	Retries int
 	// Checkpoint journals completed cells for -resume; nil disables.
 	Checkpoint *runner.Checkpoint
 	// Progress receives per-job completion events.
@@ -63,7 +60,6 @@ func (e *Env) ctx() context.Context {
 func (e *Env) options() runner.Options {
 	return runner.Options{
 		Timeout:    e.Timeout,
-		Retries:    e.Retries,
 		Checkpoint: e.Checkpoint,
 		Progress:   e.Progress,
 		Obs:        e.Obs,

@@ -94,7 +94,6 @@ type JobCounts struct {
 	Failed         uint64 `json:"failed"`
 	FromCheckpoint uint64 `json:"from_checkpoint"`
 	Drained        uint64 `json:"drained"`
-	Retries        uint64 `json:"retries"`
 	Timeouts       uint64 `json:"timeouts"`
 	Panics         uint64 `json:"panics"`
 }
@@ -172,7 +171,6 @@ func (m *Manifest) FillFromRegistry(r *Registry) {
 		Failed:         snap.Counters[CtrJobsFailed],
 		FromCheckpoint: snap.Counters[CtrJobsFromCheckpoint],
 		Drained:        snap.Counters[CtrJobsDrained],
-		Retries:        snap.Counters[CtrJobRetries],
 		Timeouts:       snap.Counters[CtrJobTimeouts],
 		Panics:         snap.Counters[CtrJobPanics],
 	}

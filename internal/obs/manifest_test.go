@@ -16,7 +16,6 @@ func fill(r *Registry) {
 	r.Counter(CtrJobsSucceeded).Add(7)
 	r.Counter(CtrJobsFailed).Add(2)
 	r.Counter(CtrJobsFromCheckpoint).Add(1)
-	r.Counter(CtrJobRetries).Add(3)
 	r.Counter(CtrJobTimeouts).Add(1)
 	r.Counter(CtrJobPanics).Add(1)
 	r.Counter(SimPrefix + "llc_accesses").Add(1000)
@@ -40,7 +39,7 @@ func TestManifestFillReconciles(t *testing.T) {
 	m.FillFromRegistry(r)
 
 	want := JobCounts{Submitted: 10, Succeeded: 7, Failed: 2, FromCheckpoint: 1,
-		Retries: 3, Timeouts: 1, Panics: 1}
+		Timeouts: 1, Panics: 1}
 	if m.Sim.Jobs != want {
 		t.Errorf("Sim.Jobs = %+v, want %+v", m.Sim.Jobs, want)
 	}

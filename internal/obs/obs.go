@@ -44,7 +44,9 @@ const (
 	// CtrJobsDrained counts the subset of failed jobs that were drained
 	// without executing.
 	CtrJobsDrained = "runner_jobs_drained"
-	// CtrJobRetries counts extra attempts after a retryable failure.
+	// CtrJobRetries names the retry counter of a runner that retried
+	// failed jobs. The runner runs each job once, so it stays 0; the
+	// name remains because the repository benchmark reads it.
 	CtrJobRetries = "runner_job_retries"
 	// CtrJobTimeouts counts jobs abandoned at the per-job timeout.
 	CtrJobTimeouts = "runner_job_timeouts"
@@ -174,6 +176,16 @@ func (c *Counter) Add(n uint64) {
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
+
+// Raise lifts the counter to v when it reads less: the way to mirror a
+// monotonic count kept elsewhere, read at scrape time. No-op on nil.
+func (c *Counter) Raise(v uint64) {
+	if c == nil {
+		return
+	}
+	for old := c.v.Load(); old < v && !c.v.CompareAndSwap(old, v); old = c.v.Load() {
+	}
+}
 
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() uint64 {

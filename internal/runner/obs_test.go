@@ -120,18 +120,17 @@ func TestRunnerObsCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestRunnerObsFailureModes reconciles the retry, timeout and panic
-// counters against engineered failures.
+// TestRunnerObsFailureModes reconciles the timeout and panic counters
+// against engineered failures; no failure is retried.
 func TestRunnerObsFailureModes(t *testing.T) {
 	reg := obs.NewRegistry()
 	var attempts atomic.Uint64
 	jobs := []Job[int]{
-		{Key: "flaky", Run: func(context.Context) (int, error) {
-			if attempts.Add(1) < 3 {
-				return 0, errors.New("transient")
-			}
-			return 1, nil
+		{Key: "fails", Run: func(context.Context) (int, error) {
+			attempts.Add(1)
+			return 0, errors.New("deterministic")
 		}},
+		{Key: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
 		{Key: "panics", Run: func(context.Context) (int, error) { panic("kaboom") }},
 		{Key: "hangs", Run: func(context.Context) (int, error) {
 			time.Sleep(10 * time.Second)
@@ -139,13 +138,10 @@ func TestRunnerObsFailureModes(t *testing.T) {
 		}},
 	}
 	Run(context.Background(), jobs, Options{
-		Workers: 3, Retries: 2, Backoff: time.Millisecond, Timeout: 100 * time.Millisecond,
-		Obs: reg,
+		Workers: 4, Timeout: 100 * time.Millisecond, Obs: reg,
 	})
-	// Panics are retryable, timeouts are not: flaky retries twice and
-	// the panicking job exhausts its two retries, for four in total.
-	if got := reg.CounterValue(obs.CtrJobRetries); got != 4 {
-		t.Errorf("retries = %d, want 4 (2 flaky + 2 panic)", got)
+	if got := attempts.Load(); got != 1 {
+		t.Errorf("the failing job ran %d times, want 1", got)
 	}
 	if got := reg.CounterValue(obs.CtrJobTimeouts); got != 1 {
 		t.Errorf("timeouts = %d, want 1", got)
@@ -156,8 +152,8 @@ func TestRunnerObsFailureModes(t *testing.T) {
 	if got := reg.CounterValue(obs.CtrJobsSucceeded); got != 1 {
 		t.Errorf("succeeded = %d, want 1", got)
 	}
-	if got := reg.CounterValue(obs.CtrJobsFailed); got != 2 {
-		t.Errorf("failed = %d, want 2", got)
+	if got := reg.CounterValue(obs.CtrJobsFailed); got != 3 {
+		t.Errorf("failed = %d, want 3", got)
 	}
 }
 

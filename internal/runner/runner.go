@@ -6,7 +6,6 @@
 //   - bounded workers with context cancellation and a per-job timeout,
 //   - panic isolation: a recovered job becomes a structured JobError
 //     (job key, stack, duration) instead of crashing the process,
-//   - bounded retry with exponential backoff for transient failures,
 //   - deterministic checkpointing: completed results are journaled to
 //     a JSON-lines file keyed by job key, so an interrupted campaign
 //     resumes by skipping finished cells,
@@ -16,16 +15,16 @@
 // its result: the figures package keys each job by the canonical
 // identity of its cell (kind, workload, policy expression, threads,
 // stream scale and cache geometry), which is also the checkpoint key.
+// For the same reason a failed job is not retried: running it again
+// would fail again.
 package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -37,10 +36,10 @@ import (
 type Job[T any] struct {
 	Key string
 	Run func(ctx context.Context) (T, error)
-	// Span, when non-nil, is the job's trace span: each attempt becomes
-	// an "attempt" child annotated with the try number and outcome
-	// (ok, error, panic, timeout, drained). The runner never ends Span
-	// itself — the caller owns the job span's lifetime.
+	// Span, when non-nil, is the job's trace span: its run becomes an
+	// "attempt" child annotated with the outcome (ok, error, panic,
+	// timeout), or Span itself is marked drained. The runner never ends
+	// Span itself — the caller owns the job span's lifetime.
 	Span *obs.Span
 }
 
@@ -54,10 +53,8 @@ type JobError struct {
 	// Stack is the goroutine stack at the point of a recovered panic,
 	// empty for ordinary errors.
 	Stack string
-	// Duration is how long the final attempt ran.
+	// Duration is how long the job ran.
 	Duration time.Duration
-	// Attempts is how many times the job was tried.
-	Attempts int
 	// TimedOut marks a job that exceeded the per-job timeout. The
 	// job's goroutine may still be running (simulations are not
 	// preemptible); it is abandoned and its result discarded.
@@ -89,18 +86,12 @@ type Event struct {
 }
 
 // Options tunes a Run call. The zero value is usable: NumCPU workers,
-// no timeout, no retries, no checkpoint.
+// no timeout, no checkpoint.
 type Options struct {
 	// Workers bounds concurrency; 0 means runtime.NumCPU().
 	Workers int
-	// Timeout bounds each job attempt; 0 means no limit.
+	// Timeout bounds each job; 0 means no limit.
 	Timeout time.Duration
-	// Retries is how many extra attempts a failed job gets. Timeouts
-	// and context cancellation are never retried.
-	Retries int
-	// Backoff is the base delay between attempts, doubling each retry;
-	// 0 means 100ms.
-	Backoff time.Duration
 	// Checkpoint, when non-nil, is consulted before running a job and
 	// records every success.
 	Checkpoint *Checkpoint
@@ -119,9 +110,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
 	}
 	return o
 }
@@ -274,48 +262,29 @@ func Run[T any](ctx context.Context, jobs []Job[T], opts Options) *Set[T] {
 	return set
 }
 
-// attempt runs one job with bounded retries. Each try is traced as an
-// "attempt" child of the job's span (when the job carries one).
+// attempt runs one job, traced as an "attempt" child of the job's span
+// (when the job carries one).
 func attempt[T any](ctx context.Context, job Job[T], opts Options) (T, *JobError) {
-	var zero T
-	for try := 0; ; try++ {
-		sp := job.Span.StartChild("attempt")
-		sp.SetAttr("try", strconv.Itoa(try+1))
-		v, jerr := runOnce(ctx, job, opts.Timeout)
-		if jerr == nil {
-			sp.SetAttr("outcome", "ok")
-			sp.End()
-			return v, nil
-		}
-		switch {
-		case jerr.TimedOut:
-			sp.SetAttr("outcome", "timeout")
-		case jerr.Stack != "":
-			sp.SetAttr("outcome", "panic")
-		default:
-			sp.SetAttr("outcome", "error")
-		}
-		sp.SetAttr("error", jerr.Err.Error())
-		jerr.Attempts = try + 1
-		retryable := !jerr.TimedOut && ctx.Err() == nil &&
-			!errors.Is(jerr.Err, context.Canceled)
-		if try >= opts.Retries || !retryable {
-			sp.End()
-			return zero, jerr
-		}
-		sp.SetAttr("retrying", "true")
-		sp.End()
-		opts.Obs.Counter(obs.CtrJobRetries).Inc()
-		select {
-		case <-ctx.Done():
-			return zero, jerr
-		case <-time.After(opts.Backoff * time.Duration(1<<try)):
-		}
+	sp := job.Span.StartChild("attempt")
+	defer sp.End()
+	v, jerr := runOnce(ctx, job, opts.Timeout)
+	switch {
+	case jerr == nil:
+		sp.SetAttr("outcome", "ok")
+		return v, nil
+	case jerr.TimedOut:
+		sp.SetAttr("outcome", "timeout")
+	case jerr.Stack != "":
+		sp.SetAttr("outcome", "panic")
+	default:
+		sp.SetAttr("outcome", "error")
 	}
+	sp.SetAttr("error", jerr.Err.Error())
+	return v, jerr
 }
 
-// runOnce executes a single attempt with panic recovery and the
-// per-job timeout.
+// runOnce executes the job with panic recovery and the per-job
+// timeout.
 func runOnce[T any](ctx context.Context, job Job[T], timeout time.Duration) (T, *JobError) {
 	var zero T
 	jctx := ctx

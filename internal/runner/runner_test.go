@@ -120,45 +120,6 @@ func TestCancelledContextDrainsPool(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	var tries atomic.Int32
-	jobs := []Job[int]{{
-		Key: "flaky",
-		Run: func(context.Context) (int, error) {
-			if tries.Add(1) < 3 {
-				return 0, errors.New("transient")
-			}
-			return 7, nil
-		},
-	}}
-	set := Run(context.Background(), jobs, Options{Retries: 2, Backoff: time.Millisecond})
-	if v, ok := set.Value("flaky"); !ok || v != 7 {
-		t.Fatalf("flaky job = %d, %t (errors %v)", v, ok, set.Errors)
-	}
-	if tries.Load() != 3 {
-		t.Errorf("tries = %d, want 3", tries.Load())
-	}
-}
-
-func TestRetryIsBounded(t *testing.T) {
-	var tries atomic.Int32
-	jobs := []Job[int]{{
-		Key: "doomed",
-		Run: func(context.Context) (int, error) {
-			tries.Add(1)
-			return 0, errors.New("permanent")
-		},
-	}}
-	set := Run(context.Background(), jobs, Options{Retries: 2, Backoff: time.Millisecond})
-	je := set.Errors["doomed"]
-	if je == nil || je.Attempts != 3 {
-		t.Fatalf("doomed job error = %+v, want 3 attempts", je)
-	}
-	if tries.Load() != 3 {
-		t.Errorf("tries = %d, want 3", tries.Load())
-	}
-}
-
 func TestProgressEventsCoverEveryJob(t *testing.T) {
 	var events []Event
 	jobs := intJobs(10)

@@ -3,6 +3,8 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,52 +35,44 @@ func jobSpanID(t *testing.T, tr *obs.Trace, name string) string {
 	return ""
 }
 
-// TestJobSpanRecordsAttempts: a traced job that fails twice and then
-// succeeds yields three attempt children annotated with try numbers,
-// outcomes and the retry marker.
+// TestJobSpanRecordsAttempts: each traced job, failing or not, runs
+// once and yields one attempt child annotated with its outcome.
 func TestJobSpanRecordsAttempts(t *testing.T) {
-	tr, root := obs.NewTrace("job")
-	var calls int
-	jobs := []Job[int]{{
-		Key:  "flaky",
-		Span: root,
-		Run: func(context.Context) (int, error) {
-			calls++
-			if calls < 3 {
-				return 0, errors.New("transient")
-			}
-			return 7, nil
-		},
-	}}
-	set := Run(context.Background(), jobs, Options{
-		Workers: 1, Retries: 2, Backoff: time.Millisecond,
-	})
-	if v, ok := set.Value("flaky"); !ok || v != 7 {
-		t.Fatalf("flaky = %d, %t; want 7 after retries", v, ok)
+	tr, root := obs.NewTrace("batch")
+	okSpan, failSpan := root.StartChild("job:ok"), root.StartChild("job:fails")
+	var calls atomic.Int32
+	jobs := []Job[int]{
+		{Key: "ok", Span: okSpan, Run: func(context.Context) (int, error) { return 7, nil }},
+		{Key: "fails", Span: failSpan, Run: func(context.Context) (int, error) {
+			calls.Add(1)
+			return 0, errors.New("deterministic")
+		}},
 	}
+	set := Run(context.Background(), jobs, Options{Workers: 2})
+	if v, ok := set.Value("ok"); !ok || v != 7 {
+		t.Fatalf("ok = %d, %t; want 7", v, ok)
+	}
+	if set.Err("fails") == nil || calls.Load() != 1 {
+		t.Fatalf("failing job: error %v after %d runs, want an error after 1", set.Err("fails"), calls.Load())
+	}
+	okSpan.End()
+	failSpan.End()
 	root.End()
 
-	atts := attemptSpans(tr, jobSpanID(t, tr, "job"))
-	if len(atts) != 3 {
-		t.Fatalf("got %d attempt spans, want 3: %+v", len(atts), atts)
-	}
-	for i, sp := range atts {
-		if want := string(rune('1' + i)); sp.Attrs["try"] != want {
-			t.Errorf("attempt %d try = %q, want %q", i, sp.Attrs["try"], want)
+	for name, want := range map[string]map[string]string{
+		"job:ok":    {"outcome": "ok"},
+		"job:fails": {"outcome": "error", "error": "deterministic"},
+	} {
+		atts := attemptSpans(tr, jobSpanID(t, tr, name))
+		if len(atts) != 1 {
+			t.Fatalf("%s: got %d attempt spans, want 1: %+v", name, len(atts), atts)
 		}
-		if sp.Duration <= 0 {
-			t.Errorf("attempt %d has no duration", i)
+		if atts[0].Duration <= 0 {
+			t.Errorf("%s: attempt has no duration", name)
 		}
-	}
-	for _, sp := range atts[:2] {
-		if sp.Attrs["outcome"] != "error" || sp.Attrs["retrying"] != "true" ||
-			sp.Attrs["error"] != "transient" {
-			t.Errorf("failed attempt attrs = %v", sp.Attrs)
+		if fmt.Sprint(atts[0].Attrs) != fmt.Sprint(want) {
+			t.Errorf("%s: attempt attrs = %v, want %v", name, atts[0].Attrs, want)
 		}
-	}
-	last := atts[2]
-	if last.Attrs["outcome"] != "ok" || last.Attrs["retrying"] != "" {
-		t.Errorf("final attempt attrs = %v", last.Attrs)
 	}
 }
 
@@ -119,7 +113,7 @@ func TestJobSpanAnnotatesPanicAndTimeout(t *testing.T) {
 // TestUntracedJobStillRuns: a nil Span means zero tracing work and no
 // panics anywhere on the job path.
 func TestUntracedJobStillRuns(t *testing.T) {
-	set := Run(context.Background(), intJobs(4), Options{Workers: 2, Retries: 1})
+	set := Run(context.Background(), intJobs(4), Options{Workers: 2})
 	if len(set.Values) != 4 {
 		t.Fatalf("values = %d, want 4", len(set.Values))
 	}

@@ -52,9 +52,7 @@ func TestWorkersCapRunningJobs(t *testing.T) {
 	}
 	s, ts := newTestServer(t, cfg)
 	reg := s.Registry()
-	var unblock sync.Once
-	releaseAll := func() { unblock.Do(func() { close(release) }) }
-	t.Cleanup(releaseAll) // a failed check must not leave jobs blocked
+	releaseAll := releaseOnCleanup(t, release)
 
 	const jobs = 5
 	codes := make([]int, jobs)

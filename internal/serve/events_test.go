@@ -152,6 +152,7 @@ func TestEventsLiveTail(t *testing.T) {
 		}
 	}
 	_, ts := newTestServer(t, cfg)
+	releaseAll := releaseOnCleanup(t, release)
 
 	submitted := make(chan struct{})
 	go func() {
@@ -183,7 +184,7 @@ func TestEventsLiveTail(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		close(release)
+		releaseAll()
 	}()
 
 	got := eventTypes(parseSSE(t, resp))

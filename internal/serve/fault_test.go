@@ -70,6 +70,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	s, ts := newTestServer(t, cfg)
 	reg := s.Registry()
+	releaseAll := releaseOnCleanup(t, release)
 
 	// Occupy the only run slot, then fill the queue behind it: it takes
 	// Workers + Queue submissions to saturate the intake.
@@ -121,7 +122,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		t.Errorf("queue rejects = %d, want >= %d", got, rejects)
 	}
 
-	close(release)
+	releaseAll()
 	wg.Wait()
 	for i, code := range results {
 		if code != http.StatusOK {
@@ -305,6 +306,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		}
 	}
 	s, ts := newTestServer(t, cfg)
+	releaseAll := releaseOnCleanup(t, release)
 
 	var inflightCode, queuedCode int
 	var wg sync.WaitGroup
@@ -343,7 +345,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	close(release)
+	releaseAll()
 	wg.Wait()
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)

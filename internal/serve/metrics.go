@@ -34,4 +34,12 @@ const (
 	CtrStoreErrors = "serve_store_errors"
 	// GaugeQueueDepth is the admission queue's depth at scrape time.
 	GaugeQueueDepth = "serve_queue_depth"
+	// GaugeMemoBytes, GaugeMemoEntries and CtrMemoEvictions mirror the
+	// process memo (internal/memo) at scrape time: the accounted bytes
+	// and count of its resident entries, and how many entries it has
+	// dropped to stay within its budget. The memo holds the in-memory
+	// result store, the sampled pilots and the generated streams.
+	GaugeMemoBytes   = "memo_bytes"
+	GaugeMemoEntries = "memo_entries"
+	CtrMemoEvictions = "memo_evictions"
 )

@@ -31,8 +31,6 @@ func resolveSampled(t *testing.T) *exp.Resolved {
 // estimates with plans and error bounds instead of exact bench rows,
 // under a distinct content address, byte-identical across executions.
 func TestExecuteSpecSampled(t *testing.T) {
-	exp.ResetSampledCache()
-	t.Cleanup(exp.ResetSampledCache)
 	r := resolveSampled(t)
 
 	reg := obs.NewRegistry()

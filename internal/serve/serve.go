@@ -14,16 +14,15 @@
 // Stage by stage:
 //
 //   - The canonical spec expression (exp.Resolved.String) gives every
-//     experiment an exact content address; identical submissions — in
-//     any JSON spelling — share one cached result.
+//     experiment an exact content address; identical submissions share
+//     one cached result (see Addr for which spellings are identical).
 //   - Concurrent identical submissions collapse in the singleflight
 //     layer: N in-flight duplicates cost one simulation.
 //   - The singleflight leader runs its own job. It takes an admission
 //     token — a full queue answers 429 + Retry-After instead of growing
 //     goroutines — then waits for one of Config.Workers run slots and
 //     runs the job as a one-job runner.Run, inheriting the runner's
-//     panic isolation, per-job timeout, retry/backoff and checkpoint
-//     journaling.
+//     panic isolation, per-job timeout and checkpoint journaling.
 //   - Shutdown drains: admission closes, queued work settles with 503,
 //     in-flight simulations finish and land in the JSONL checkpoint,
 //     so a restarted server resumes byte-identically.
@@ -44,6 +43,7 @@ import (
 	"time"
 
 	"sdbp/internal/exp"
+	"sdbp/internal/memo"
 	"sdbp/internal/obs"
 	"sdbp/internal/runner"
 )
@@ -57,10 +57,8 @@ type Config struct {
 	Queue int
 	// Workers caps concurrently running jobs; 0 means NumCPU.
 	Workers int
-	// JobTimeout bounds each job attempt; 0 means no limit.
+	// JobTimeout bounds each job; 0 means no limit.
 	JobTimeout time.Duration
-	// Retries is the per-job retry budget for transient failures.
-	Retries int
 	// MaxBody caps a submission body in bytes; 0 means 1MiB.
 	MaxBody int64
 	// RetryAfter is the hint returned with 429/503; 0 means 1s.
@@ -353,7 +351,6 @@ func (s *Server) execute(exec *obs.Span, addr, spec string, resolved *exp.Resolv
 	set := runner.Run(s.runCtx, []runner.Job[Result]{{Key: spec, Run: job, Span: run}}, runner.Options{
 		Workers:    1,
 		Timeout:    s.cfg.JobTimeout,
-		Retries:    s.cfg.Retries,
 		Checkpoint: s.cfg.Checkpoint,
 		Obs:        s.reg,
 	})
@@ -446,6 +443,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // text/plain or openmetrics — or forces it with ?format=prom.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge(GaugeQueueDepth).Set(float64(s.adm.depth()))
+	u := memo.Stats()
+	s.reg.Gauge(GaugeMemoBytes).Set(float64(u.Bytes))
+	s.reg.Gauge(GaugeMemoEntries).Set(float64(u.Entries))
+	s.reg.Counter(CtrMemoEvictions).Raise(u.Evictions)
 	snap := s.reg.Snapshot()
 	if wantsPrometheus(r) {
 		var buf bytes.Buffer

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,6 +54,17 @@ func newTestServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Ser
 		s.Shutdown(ctx)
 	})
 	return s, ts
+}
+
+// releaseOnCleanup returns a func that closes release once, and runs it
+// from t.Cleanup too, so a check that fails while jobs block on release
+// cannot hang the test. Call it after newTestServer: cleanups run last
+// registered first, and newTestServer's waits for the blocked handlers.
+func releaseOnCleanup(t *testing.T, release chan struct{}) func() {
+	var once sync.Once
+	f := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(f)
+	return f
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {

@@ -31,6 +31,7 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	}
 	s, ts := newTestServer(t, cfg)
 	reg := s.Registry()
+	releaseAll := releaseOnCleanup(t, release)
 
 	codes := make([]int, m)
 	bodies := make([][]byte, m)
@@ -48,7 +49,7 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	// cache (the gate keeps the cache empty, so all M must), forcing
 	// maximal overlap through the singleflight layer.
 	waitCounter(t, reg, serve.CtrCacheMisses, m)
-	close(release)
+	releaseAll()
 	wg.Wait()
 
 	for i := 0; i < m; i++ {

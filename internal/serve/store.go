@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+
+	"sdbp/internal/memo"
 )
 
 // Store is the result cache's storage backend: content-addressed blobs
@@ -19,42 +20,33 @@ type Store interface {
 	Close() error
 }
 
-// MemStore is an in-process Store. It is the default backend: fast,
-// unbounded in principle but bounded in practice by the admission
-// queue (a result is only as large as one manifest), and lost on
-// restart — crash-safe resume comes from the runner checkpoint, not
-// the cache.
+// MemStore is an in-process Store and the default backend. Its results
+// live in the process memo under the memo's byte budget: past it, the
+// memo drops its least recently used entries, this store's results
+// among them, and a dropped result's next submission recomputes it.
+// Each MemStore is its own key space, so two servers in one process
+// never share results. Results are lost on restart; crash-safe resume
+// comes from the runner checkpoint, not the cache.
 type MemStore struct {
-	mu sync.RWMutex
-	m  map[string][]byte
+	results *memo.Cache[string, []byte]
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{m: make(map[string][]byte)}
+	return &MemStore{results: memo.New[string, []byte]()}
 }
 
 // Get returns the stored bytes for addr.
 func (s *MemStore) Get(addr string) ([]byte, bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.m[addr]
+	b, ok := s.results.Get(addr)
 	return b, ok, nil
 }
 
-// Put stores data under addr, replacing any previous value.
+// Put stores a copy of data under addr, replacing any previous value.
 func (s *MemStore) Put(addr string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[addr] = append([]byte(nil), data...)
+	b := append([]byte(nil), data...)
+	s.results.Put(addr, b, cap(b)+len(addr))
 	return nil
-}
-
-// Len reports the number of stored results.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
 }
 
 // Close is a no-op.

@@ -2,11 +2,18 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"sdbp/internal/memo"
+	"sdbp/internal/obs"
 	"sdbp/internal/serve"
 )
 
@@ -32,11 +39,83 @@ func TestMemStore(t *testing.T) {
 	if got, _, _ := s.Get(testAddr); string(got) != "two" {
 		t.Errorf("stored value mutated through the caller's slice: %q", got)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemStoreDropsLeastRecentlyUsedPastBudget fills the process memo
+// past its budget with the in-memory store's own results, each a third
+// of memo.Budget: the least recently used result is dropped, its
+// resubmission recomputes a byte-identical manifest, and /metrics
+// reports the memo in lint-clean Prometheus text.
+func TestMemStoreDropsLeastRecentlyUsedPastBudget(t *testing.T) {
+	var execs atomic.Int64
+	pad := strings.Repeat("x", memo.Budget/3)
+	cfg := quietCfg()
+	cfg.WrapJob = func(addr string, run func(context.Context) (serve.Result, error)) func(context.Context) (serve.Result, error) {
+		return func(ctx context.Context) (serve.Result, error) {
+			execs.Add(1)
+			return serve.Result{Schema: serve.ResultSchema, Spec: pad, Addr: addr}, nil
+		}
+	}
+	_, ts := newTestServer(t, cfg)
+	// submitDigest submits body and returns its answer's source and a
+	// digest of the manifest (the manifests are too big to keep).
+	submitDigest := func(body string) (string, [32]byte) {
+		t.Helper()
+		resp, data := submit(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit: HTTP %d", resp.StatusCode)
+		}
+		return resp.Header.Get("X-Sdbpd-Cache"), sha256.Sum256(data)
+	}
+
+	a, b, c := specN(1), specN(2), specN(3)
+	_, digestA := submitDigest(a)
+	_, digestB := submitDigest(b)
+	// Read A back, so B is the least recently used result when C's
+	// third overflows the budget.
+	if resp, _ := get(t, ts, "/v1/results/"+addrOf(t, a)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET A: HTTP %d", resp.StatusCode)
+	}
+	before := memo.Stats().Evictions
+	submitDigest(c)
+	if u := memo.Stats(); u.Evictions == before || u.Bytes > memo.Budget {
+		t.Fatalf("memo after three thirds of its budget: %+v; want an eviction and at most %d bytes", u, memo.Budget)
+	}
+	if src, d := submitDigest(a); src != "hit" || d != digestA {
+		t.Errorf("recently read result: source %q, identical %t; want a byte-identical hit", src, d == digestA)
+	}
+	if src, d := submitDigest(b); src != "miss" || d != digestB {
+		t.Errorf("least recently used result: source %q, identical %t; want a byte-identical recompute", src, d == digestB)
+	}
+	if n := execs.Load(); n != 4 {
+		t.Errorf("jobs run = %d, want 4: three results and the dropped one again", n)
+	}
+
+	resp, prom := get(t, ts, "/metrics?format=prom")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: HTTP %d", resp.StatusCode)
+	}
+	if err := obs.LintPrometheus(prom); err != nil {
+		t.Fatalf("exposition fails the lint: %v", err)
+	}
+	for _, series := range []string{"memo_bytes ", "memo_entries ", "memo_evictions_total "} {
+		if !bytes.Contains(prom, []byte("\n"+series)) {
+			t.Errorf("exposition has no %q sample", series)
+		}
+	}
+	_, js := get(t, ts, "/metrics")
+	var snap obs.Snapshot
+	if err := json.Unmarshal(js, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, u := snap.Counters[serve.CtrMemoEvictions], memo.Stats(); got == 0 || got > u.Evictions {
+		t.Errorf("%s = %d, want in [1, %d]", serve.CtrMemoEvictions, got, u.Evictions)
+	}
+	if got := snap.Gauges[serve.GaugeMemoEntries]; got < 2 {
+		t.Errorf("%s = %g, want at least the two resident results", serve.GaugeMemoEntries, got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sdbp/internal/cpu"
 	"sdbp/internal/dbrb"
 	"sdbp/internal/hier"
+	"sdbp/internal/mem"
 	"sdbp/internal/policy"
 	"sdbp/internal/predictor"
 	"sdbp/internal/workloads"
@@ -41,23 +42,22 @@ func TestDiagMissByPC(t *testing.T) {
 		miss := map[uint64]int{}
 		hit := map[uint64]int{}
 		gen := w.Generator(0.5)
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			before := llc.Stats()
-			level := core.Access(a)
-			after := llc.Stats()
-			if after.Accesses > before.Accesses {
-				site := a.PC &^ 0xFF // bucket nearby burst sites
-				if after.Misses > before.Misses {
-					miss[site]++
-				} else {
-					hit[site]++
+		var buf [256]mem.Access
+		for k := gen.NextBatch(buf[:]); k > 0; k = gen.NextBatch(buf[:]) {
+			for _, a := range buf[:k] {
+				before := llc.Stats()
+				level := core.Access(a)
+				after := llc.Stats()
+				if after.Accesses > before.Accesses {
+					site := a.PC &^ 0xFF // bucket nearby burst sites
+					if after.Misses > before.Misses {
+						miss[site]++
+					} else {
+						hit[site]++
+					}
 				}
+				timing.Record(a.Gap, level.Latency(), a.DependentLoad)
 			}
-			timing.Record(a.Gap, level.Latency(), a.DependentLoad)
 		}
 		type row struct {
 			pc   uint64

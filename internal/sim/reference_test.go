@@ -75,33 +75,32 @@ func refRun(w workloads.Workload, pol cache.Policy, scale float64, capture bool,
 	next := every
 	var sinceLLC uint64 // instructions since the previous LLC access
 	gen := w.Generator(scale)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		sinceLLC += uint64(a.Gap) + 1
-		level := core.Access(a)
-		if level == hier.LevelLLC || level == hier.LevelMemory {
-			// The LLC received a with its gap counting every instruction
-			// before it since the previous LLC access.
-			if capture {
-				llcA := a
-				llcA.Gap = uint32(min(sinceLLC-1, 1<<32-1))
-				r.stream = append(r.stream, llcA)
+	var buf [256]mem.Access
+	for k := gen.NextBatch(buf[:]); k > 0; k = gen.NextBatch(buf[:]) {
+		for _, a := range buf[:k] {
+			sinceLLC += uint64(a.Gap) + 1
+			level := core.Access(a)
+			if level == hier.LevelLLC || level == hier.LevelMemory {
+				// The LLC received a with its gap counting every instruction
+				// before it since the previous LLC access.
+				if capture {
+					llcA := a
+					llcA.Gap = uint32(min(sinceLLC-1, 1<<32-1))
+					r.stream = append(r.stream, llcA)
+				}
+				sinceLLC = 0
 			}
-			sinceLLC = 0
-		}
-		timing.Record(a.Gap, level.Latency(), a.DependentLoad)
-		if every == 0 {
-			continue
-		}
-		if instr := timing.Instructions(); instr >= next {
-			snapshot()
-			// One access can cross several boundaries; the next one then
-			// re-anchors past the current count.
-			if next += every; next <= instr {
-				next = instr + every
+			timing.Record(a.Gap, level.Latency(), a.DependentLoad)
+			if every == 0 {
+				continue
+			}
+			if instr := timing.Instructions(); instr >= next {
+				snapshot()
+				// One access can cross several boundaries; the next one then
+				// re-anchors past the current count.
+				if next += every; next <= instr {
+					next = instr + every
+				}
 			}
 		}
 	}

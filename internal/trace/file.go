@@ -26,14 +26,12 @@ var traceMagic = [8]byte{'S', 'D', 'B', 'P', 'T', 'R', 'C', '1'}
 var ErrBadTrace = errors.New("trace: malformed trace file")
 
 // Write serializes a stream of accesses. It drains the generator.
-func Write(w io.Writer, g Generator) (int, error) {
+func Write(w io.Writer, g BatchGenerator) (int, error) {
 	// Count first: deterministic generators replay exactly.
+	var recs [256]mem.Access
 	n := 0
-	for {
-		if _, ok := g.Next(); !ok {
-			break
-		}
-		n++
+	for k := g.NextBatch(recs[:]); k > 0; k = g.NextBatch(recs[:]) {
+		n += k
 	}
 	g.Reset()
 
@@ -58,51 +56,41 @@ func Write(w io.Writer, g Generator) (int, error) {
 
 	var prevPC, prevAddr uint64
 	written := 0
-	for {
-		a, ok := g.Next()
-		if !ok {
-			break
-		}
-		if err := putS(int64(a.PC - prevPC)); err != nil {
-			return written, err
-		}
-		if err := putS(int64(a.Addr - prevAddr)); err != nil {
-			return written, err
-		}
-		prevPC, prevAddr = a.PC, a.Addr
-		flags := uint64(a.Gap) << 3
-		if a.DependentLoad {
-			flags |= 1 << 2
-		}
-		if a.Write {
-			flags |= 1 << 1
-		}
-		if a.Thread != 0 {
-			flags |= 1
-		}
-		if err := put(flags); err != nil {
-			return written, err
-		}
-		if a.Thread != 0 {
-			if err := put(uint64(a.Thread)); err != nil {
+	for k := g.NextBatch(recs[:]); k > 0; k = g.NextBatch(recs[:]) {
+		for _, a := range recs[:k] {
+			if err := putS(int64(a.PC - prevPC)); err != nil {
 				return written, err
 			}
+			if err := putS(int64(a.Addr - prevAddr)); err != nil {
+				return written, err
+			}
+			prevPC, prevAddr = a.PC, a.Addr
+			flags := uint64(a.Gap) << 3
+			if a.DependentLoad {
+				flags |= 1 << 2
+			}
+			if a.Write {
+				flags |= 1 << 1
+			}
+			if a.Thread != 0 {
+				flags |= 1
+			}
+			if err := put(flags); err != nil {
+				return written, err
+			}
+			if a.Thread != 0 {
+				if err := put(uint64(a.Thread)); err != nil {
+					return written, err
+				}
+			}
+			written++
 		}
-		written++
 	}
 	return written, bw.Flush()
 }
 
-// Reader streams accesses back from a serialized trace. It implements
-// Generator over a fully buffered copy, so Reset replays from the
-// start.
-type Reader struct {
-	records []mem.Access
-	pos     int
-}
-
-// NewReader parses a serialized trace.
-func NewReader(r io.Reader) (*Reader, error) {
+// NewReader parses a serialized trace into a Replay of its records.
+func NewReader(r io.Reader) (*Replay, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -153,29 +141,5 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 		records = append(records, a)
 	}
-	return &Reader{records: records}, nil
+	return NewReplay(records), nil
 }
-
-// Reset implements Generator.
-func (r *Reader) Reset() { r.pos = 0 }
-
-// Next implements Generator.
-func (r *Reader) Next() (mem.Access, bool) {
-	if r.pos >= len(r.records) {
-		return mem.Access{}, false
-	}
-	a := r.records[r.pos]
-	r.pos++
-	return a, true
-}
-
-// NextBatch implements BatchGenerator: a bulk copy from the decoded
-// records.
-func (r *Reader) NextBatch(dst []mem.Access) int {
-	n := copy(dst, r.records[r.pos:])
-	r.pos += n
-	return n
-}
-
-// Len returns the number of records in the trace.
-func (r *Reader) Len() int { return len(r.records) }

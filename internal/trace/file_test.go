@@ -8,7 +8,7 @@ import (
 	"sdbp/internal/mem"
 )
 
-func roundTrip(t *testing.T, g Generator) (*Reader, int) {
+func roundTrip(t *testing.T, g BatchGenerator) (*Replay, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := Write(&buf, g)
@@ -32,8 +32,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	orig.Reset()
 
 	r, n := roundTrip(t, orig)
-	if n != len(want) || r.Len() != len(want) {
-		t.Fatalf("wrote %d, read %d, want %d", n, r.Len(), len(want))
+	if n != len(want) || r.Length() != len(want) {
+		t.Fatalf("wrote %d, read %d, want %d", n, r.Length(), len(want))
 	}
 	got := Collect(r)
 	for i := range want {
@@ -49,7 +49,7 @@ func TestTraceRoundTripThreads(t *testing.T) {
 		{PC: 2, Addr: 0, Thread: 0, DependentLoad: true},
 		{PC: 1 << 60, Addr: 1 << 62, Thread: 255},
 	}
-	r, _ := roundTrip(t, &sliceGen{recs: recs})
+	r, _ := roundTrip(t, NewReplay(recs))
 	got := Collect(r)
 	if len(got) != len(recs) {
 		t.Fatalf("len = %d", len(got))
@@ -62,7 +62,7 @@ func TestTraceRoundTripThreads(t *testing.T) {
 }
 
 func TestReaderReset(t *testing.T) {
-	r, _ := roundTrip(t, &sliceGen{recs: []mem.Access{{PC: 1}, {PC: 2}}})
+	r, _ := roundTrip(t, NewReplay([]mem.Access{{PC: 1}, {PC: 2}}))
 	a := Collect(r)
 	r.Reset()
 	b := Collect(r)
@@ -87,7 +87,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 func TestReaderRejectsTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Write(&buf, &sliceGen{recs: []mem.Access{{PC: 99, Addr: 640}, {PC: 98, Addr: 0}}}); err != nil {
+	if _, err := Write(&buf, NewReplay([]mem.Access{{PC: 99, Addr: 640}, {PC: 98, Addr: 0}})); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -110,20 +110,4 @@ func TestTraceCompression(t *testing.T) {
 	if perRecord > 6 {
 		t.Errorf("%.1f bytes/record; delta encoding ineffective", perRecord)
 	}
-}
-
-// sliceGen adapts a fixed record slice to Generator.
-type sliceGen struct {
-	recs []mem.Access
-	pos  int
-}
-
-func (s *sliceGen) Reset() { s.pos = 0 }
-func (s *sliceGen) Next() (mem.Access, bool) {
-	if s.pos >= len(s.recs) {
-		return mem.Access{}, false
-	}
-	a := s.recs[s.pos]
-	s.pos++
-	return a, true
 }

@@ -48,29 +48,21 @@ func FuzzTraceFileRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("serializing a parsed trace failed: %v", err)
 		}
-		if n != r1.Len() {
-			t.Fatalf("wrote %d of %d records", n, r1.Len())
+		if n != r1.Length() {
+			t.Fatalf("wrote %d of %d records", n, r1.Length())
 		}
 		r2, err := NewReader(&buf)
 		if err != nil {
 			t.Fatalf("reparsing a serialized trace failed: %v", err)
 		}
-		if r2.Len() != r1.Len() {
-			t.Fatalf("round trip changed record count: %d != %d", r2.Len(), r1.Len())
+		if r2.Length() != r1.Length() {
+			t.Fatalf("round trip changed record count: %d != %d", r2.Length(), r1.Length())
 		}
 		r1.Reset()
-		r2.Reset()
-		for i := 0; ; i++ {
-			a1, ok1 := r1.Next()
-			a2, ok2 := r2.Next()
-			if ok1 != ok2 {
-				t.Fatalf("record %d: stream lengths diverge", i)
-			}
-			if !ok1 {
-				break
-			}
-			if a1 != a2 {
-				t.Fatalf("record %d changed across round trip:\n first: %+v\n again: %+v", i, a1, a2)
+		first, again := Collect(r1), Collect(r2)
+		for i := range first {
+			if first[i] != again[i] {
+				t.Fatalf("record %d changed across round trip:\n first: %+v\n again: %+v", i, first[i], again[i])
 			}
 		}
 	})

@@ -8,11 +8,16 @@ package trace
 
 import "sdbp/internal/mem"
 
-// Generator produces a finite, deterministic stream of memory accesses.
-// Reset rewinds it to the beginning of the identical stream.
-type Generator interface {
+// BatchGenerator produces a finite, deterministic stream of memory
+// accesses a buffer at a time, so drive loops pay the interface
+// dispatch once per batch instead of once per access.
+type BatchGenerator interface {
+	// Reset rewinds the generator to the beginning of the identical
+	// stream.
 	Reset()
-	Next() (mem.Access, bool)
+	// NextBatch fills dst from the stream and returns how many accesses
+	// were produced; 0 means the stream is exhausted.
+	NextBatch(dst []mem.Access) int
 }
 
 // Region is a contiguous range of cache blocks a kernel works over.
@@ -88,7 +93,7 @@ func (g *gapCache) draw(r *mem.Rand, mean int) uint32 {
 	return uint32(g.c.draw(r, 2*mean+1))
 }
 
-// Program adapts a Kernel to the Generator interface, bounding the
+// Program adapts a Kernel to the BatchGenerator interface, bounding the
 // stream length and owning the deterministic random source.
 type Program struct {
 	kernel Kernel
@@ -110,31 +115,11 @@ func NewProgram(kernel Kernel, length int, seed uint64) *Program {
 	return p
 }
 
-// Reset implements Generator.
+// Reset implements BatchGenerator.
 func (p *Program) Reset() {
 	p.r.Seed(p.seed)
 	p.kernel.Reset(p.r)
 	p.n = 0
-}
-
-// Next implements Generator.
-func (p *Program) Next() (mem.Access, bool) {
-	if p.n >= p.length {
-		return mem.Access{}, false
-	}
-	p.n++
-	return p.kernel.Step(p.r), true
-}
-
-// BatchGenerator is implemented by generators that can fill a caller's
-// buffer in one call, so drive loops pay the interface dispatch once
-// per batch instead of once per access. The stream produced is
-// identical to repeated Next calls.
-type BatchGenerator interface {
-	Generator
-	// NextBatch fills dst from the stream and returns how many accesses
-	// were produced; 0 means the stream is exhausted.
-	NextBatch(dst []mem.Access) int
 }
 
 // NextBatch implements BatchGenerator.
@@ -151,14 +136,11 @@ func (p *Program) NextBatch(dst []mem.Access) int {
 	return n
 }
 
-// Length returns the program's total access count.
-func (p *Program) Length() int { return p.length }
-
-// Replay adapts a pre-collected stream back to the Generator interface:
-// Next and NextBatch yield exactly the accesses of the slice, and Reset
-// rewinds to the start. Replaying a memoized stream costs one bulk copy
-// per batch where regenerating it costs the full kernel machinery per
-// access (see workloads' stream memo).
+// Replay is the in-memory stream: NextBatch yields exactly the accesses
+// of a slice, and Reset rewinds to the start. Replaying a memoized
+// stream costs one bulk copy per batch where regenerating it costs the
+// full kernel machinery per access (see workloads.Generator), and a
+// decoded trace file replays the same way (see NewReader).
 type Replay struct {
 	s []mem.Access
 	n int
@@ -168,18 +150,8 @@ type Replay struct {
 // callers must not mutate it.
 func NewReplay(s []mem.Access) *Replay { return &Replay{s: s} }
 
-// Reset implements Generator.
+// Reset implements BatchGenerator.
 func (r *Replay) Reset() { r.n = 0 }
-
-// Next implements Generator.
-func (r *Replay) Next() (mem.Access, bool) {
-	if r.n >= len(r.s) {
-		return mem.Access{}, false
-	}
-	a := r.s[r.n]
-	r.n++
-	return a, true
-}
 
 // NextBatch implements BatchGenerator.
 func (r *Replay) NextBatch(dst []mem.Access) int {
@@ -192,25 +164,11 @@ func (r *Replay) NextBatch(dst []mem.Access) int {
 func (r *Replay) Length() int { return len(r.s) }
 
 // Collect drains a generator into a slice (tests and MIN capture).
-// Batch-capable generators drain in block-sized appends.
-func Collect(g Generator) []mem.Access {
-	if bg, ok := g.(BatchGenerator); ok {
-		var out []mem.Access
-		var buf [256]mem.Access
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				return out
-			}
-			out = append(out, buf[:n]...)
-		}
-	}
+func Collect(g BatchGenerator) []mem.Access {
 	var out []mem.Access
-	for {
-		a, ok := g.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
+	var buf [256]mem.Access
+	for n := g.NextBatch(buf[:]); n > 0; n = g.NextBatch(buf[:]) {
+		out = append(out, buf[:n]...)
 	}
+	return out
 }

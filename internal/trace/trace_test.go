@@ -295,13 +295,8 @@ func TestMixRejectsBadWeights(t *testing.T) {
 
 func TestGapMeanApproximation(t *testing.T) {
 	k := &HotSet{Region: Region{Base: 0, Blocks: 8}, PCBase: 0x10, GapMean: 5}
-	p := NewProgram(k, 50000, 1)
 	var total uint64
-	for {
-		a, ok := p.Next()
-		if !ok {
-			break
-		}
+	for _, a := range Collect(NewProgram(k, 50000, 1)) {
 		total += uint64(a.Gap)
 	}
 	avg := float64(total) / 50000

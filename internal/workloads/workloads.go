@@ -18,9 +18,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"sdbp/internal/mem"
+	"sdbp/internal/memo"
 	"sdbp/internal/trace"
 )
 
@@ -46,18 +46,37 @@ type Workload struct {
 // deterministic: the same workload and scale always produce the same
 // accesses.
 //
-// Small streams are generated once and memoized (see streamMemo), so a
-// campaign's repeated walks of the same (workload, scale) — one per
-// policy, plus the instruction-count and capture passes — replay a
-// bulk-copied slice instead of re-running the kernel machinery per
-// access. Replayed and generated streams are identical by construction.
+// A stream of at most memoMaxAccesses is generated once and kept in the
+// process memo, so a campaign's repeated walks of the same (workload,
+// scale) — one per policy, plus the instruction-count and capture
+// passes — replay a bulk-copied slice instead of re-running the kernel
+// machinery per access. Longer streams, such as every full-scale one
+// (tens of MB), bypass the memo and keep their generate-as-you-go
+// memory profile. Replayed and generated streams are identical by
+// construction.
 func (w Workload) Generator(scale float64) trace.BatchGenerator {
 	n := w.Accesses(scale)
-	if n <= streamMemoMaxAccesses {
-		return trace.NewReplay(w.stream(n))
+	if n > memoMaxAccesses {
+		return w.rawGenerator(n)
 	}
-	return w.rawGenerator(n)
+	s, _ := streams.Do(streamKey{id: w.id, n: n}, func() ([]mem.Access, int, error) {
+		s := make([]mem.Access, n)
+		w.rawGenerator(n).NextBatch(s)
+		return s, memo.SliceBytes(s), nil
+	})
+	return trace.NewReplay(s)
 }
+
+// memoMaxAccesses is the longest stream Generator keeps in the memo:
+// 12 MiB, a quarter of memo.Budget.
+const memoMaxAccesses = 512 << 10
+
+type streamKey struct {
+	id int
+	n  int
+}
+
+var streams = memo.New[streamKey, []mem.Access]()
 
 // Accesses returns the length of the workload's reference stream at
 // the given scale: the number of accesses Generator(scale) delivers.
@@ -75,131 +94,35 @@ func (w Workload) rawGenerator(n int) *trace.Program {
 	return trace.NewProgram(k, n, 0xBE2C0000+uint64(w.id))
 }
 
-// streamMemo holds generated reference streams, capped by total bytes
-// with least-recently-used eviction. Individual streams above the cap's
-// quarter (streamMemoMaxAccesses) are never cached, so full-scale
-// campaign streams (tens of MB each) keep their generate-as-you-go
-// memory profile.
-var streamMemo struct {
-	sync.Mutex
-	entries  map[streamKey][]mem.Access
-	order    []streamKey // LRU order, oldest first
-	accesses int         // cached accesses across all entries
-}
-
-type streamKey struct {
-	id int
-	n  int
-}
-
-const (
-	// streamMemoCapAccesses bounds the memo's total footprint: 2M
-	// accesses at 24 bytes each is 48MB.
-	streamMemoCapAccesses = 2 << 20
-	// streamMemoMaxAccesses is the largest single stream worth caching.
-	streamMemoMaxAccesses = streamMemoCapAccesses / 4
-)
-
-// stream returns the workload's first n accesses from the memo, filling
-// it on the first request.
-func (w Workload) stream(n int) []mem.Access {
-	key := streamKey{id: w.id, n: n}
-	streamMemo.Lock()
-	s, ok := streamMemo.entries[key]
-	if ok {
-		// Refresh LRU position.
-		for i, k := range streamMemo.order {
-			if k == key {
-				copy(streamMemo.order[i:], streamMemo.order[i+1:])
-				streamMemo.order[len(streamMemo.order)-1] = key
-				break
-			}
-		}
-		streamMemo.Unlock()
-		return s
-	}
-	streamMemo.Unlock()
-
-	s = make([]mem.Access, 0, n)
-	gen := w.rawGenerator(n)
-	var buf [256]mem.Access
-	for {
-		k := gen.NextBatch(buf[:])
-		if k == 0 {
-			break
-		}
-		s = append(s, buf[:k]...)
-	}
-
-	streamMemo.Lock()
-	if cached, ok := streamMemo.entries[key]; ok {
-		// Another goroutine generated it concurrently; keep theirs.
-		streamMemo.Unlock()
-		return cached
-	}
-	if streamMemo.entries == nil {
-		streamMemo.entries = make(map[streamKey][]mem.Access)
-	}
-	for streamMemo.accesses+len(s) > streamMemoCapAccesses && len(streamMemo.order) > 0 {
-		old := streamMemo.order[0]
-		streamMemo.order = streamMemo.order[1:]
-		streamMemo.accesses -= len(streamMemo.entries[old])
-		delete(streamMemo.entries, old)
-	}
-	streamMemo.entries[key] = s
-	streamMemo.order = append(streamMemo.order, key)
-	streamMemo.accesses += len(s)
-	streamMemo.Unlock()
-	return s
-}
-
-// instrMemo caches Instructions results. Streams are deterministic, so
-// a (workload, scale) pair always yields the same count; multicore runs
-// ask for the same counts once per mix member per policy, and walking a
-// stream costs nearly as much as simulating it.
-var instrMemo struct {
-	sync.Mutex
-	counts map[instrKey]uint64
-}
-
 type instrKey struct {
 	id    int
 	scale float64
 }
 
+var instructions = memo.New[instrKey, uint64]()
+
 // Instructions returns the instruction count of one full pass of the
 // workload's stream at the given scale (0 means 1): the sum over all
-// accesses of Gap+1. Counts are computed by one stream walk and
-// memoized per (workload, scale); the method is safe for concurrent
+// accesses of Gap+1. Streams are deterministic, so each count is walked
+// once and kept in the process memo; multicore runs ask for the same
+// counts once per mix member per policy, and walking a stream costs
+// nearly as much as simulating it. The method is safe for concurrent
 // use.
 func (w Workload) Instructions(scale float64) uint64 {
 	if scale == 0 {
 		scale = 1
 	}
-	key := instrKey{id: w.id, scale: scale}
-	instrMemo.Lock()
-	n, ok := instrMemo.counts[key]
-	instrMemo.Unlock()
-	if ok {
-		return n
-	}
-	gen := w.Generator(scale)
-	var buf [256]mem.Access
-	for {
-		k := gen.NextBatch(buf[:])
-		if k == 0 {
-			break
+	n, _ := instructions.Do(instrKey{id: w.id, scale: scale}, func() (uint64, int, error) {
+		var n uint64
+		gen := w.Generator(scale)
+		var buf [256]mem.Access
+		for k := gen.NextBatch(buf[:]); k > 0; k = gen.NextBatch(buf[:]) {
+			for i := range buf[:k] {
+				n += uint64(buf[i].Gap) + 1
+			}
 		}
-		for i := 0; i < k; i++ {
-			n += uint64(buf[i].Gap) + 1
-		}
-	}
-	instrMemo.Lock()
-	if instrMemo.counts == nil {
-		instrMemo.counts = make(map[instrKey]uint64)
-	}
-	instrMemo.counts[key] = n
-	instrMemo.Unlock()
+		return n, 8, nil
+	})
 	return n
 }
 

@@ -94,6 +94,10 @@ echo "== /metrics Prometheus exposition must lint clean"
 "$workdir/sdbpctl" metrics -server "$base" -format prom -lint > "$workdir/metrics.prom" \
     || fail "Prometheus exposition fails the grammar lint"
 grep -q '^serve_submits_total ' "$workdir/metrics.prom" || fail "exposition missing serve_submits_total"
+# The process memo (here: the small spec's generated stream).
+for series in memo_bytes memo_entries memo_evictions_total; do
+    grep -q "^$series " "$workdir/metrics.prom" || fail "exposition missing $series"
+done
 
 echo "== SIGTERM mid-job, then resume"
 # The big spec runs for seconds; the submit will be cut off by the
