@@ -134,17 +134,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policy := fs.String("policy", "", "ad-hoc mode: run this policy preset or registry expression against LRU")
 	bench := fs.String("bench", "", "with -policy: comma-separated benchmarks, 'subset' (the default), or 'all'")
 	mix := fs.String("mix", "", "with -policy: comma-separated quad-core mix names or 'all'")
-	logLevel := fs.String("log-level", "info", "minimum structured log level: debug, info, warn, or error")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(stderr, "experiments:", err)
-		return 2
-	}
-	obs.SetDefault(obs.NewLogger(stderr, level))
 
 	want, err := parseOnly(*only)
 	if err != nil {

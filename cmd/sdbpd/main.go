@@ -3,14 +3,16 @@
 // them through the fault-tolerant runner pool, and answers with
 // deterministic, content-addressed result manifests.
 //
-//	sdbpd -addr :8344 -checkpoint sdbpd.ckpt -resume -store disk
+//	sdbpd -addr :8344 -store-dir sdbpd-store
 //
 // Robustness is the point, not an afterthought (see internal/serve):
 // a full admission queue answers 429 + Retry-After, identical
-// concurrent submissions cost one simulation, results are cached by
+// concurrent submissions cost one simulation, results are stored by
 // the canonical spec's content address, and SIGINT/SIGTERM drain
-// in-flight jobs into the JSONL checkpoint so a restarted server
-// resumes byte-identically.
+// in-flight jobs into the store. With -store-dir the store is a
+// directory, so a server restarted on it, after a drain or a crash,
+// answers every finished job as a byte-identical cache hit; without
+// it results live in the process memo.
 //
 //	POST /v1/jobs               submit an exp.Spec JSON body; returns the manifest
 //	GET  /v1/results/ADDR       fetch a cached manifest by content address
@@ -35,7 +37,6 @@ import (
 	"os"
 	"time"
 
-	"sdbp/internal/obs"
 	"sdbp/internal/runner"
 	"sdbp/internal/serve"
 )
@@ -54,58 +55,25 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	queue := fs.Int("queue", 64, "admission queue capacity (jobs waiting to run); a full queue answers 429")
 	workers := fs.Int("workers", 0, "max concurrently running jobs (0 = NumCPU)")
 	timeout := fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-	checkpoint := fs.String("checkpoint", "", "journal completed jobs to this JSONL file for crash-safe resume")
-	resume := fs.Bool("resume", false, "load the checkpoint so finished jobs are not re-simulated")
-	storeKind := fs.String("store", "mem", "result cache backend: mem or disk")
-	storeDir := fs.String("store-dir", "sdbpd-store", "directory for -store disk")
+	storeDir := fs.String("store-dir", "", "keep results in this directory, across restarts (empty = in memory)")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown drain deadline after SIGINT/SIGTERM")
-	logLevel := fs.String("log-level", "info", "minimum structured log level: debug, info, warn, or error")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(stderr, "sdbpd:", err)
-		return 2
-	}
-	obs.SetDefault(obs.NewLogger(stderr, level))
 	logger := log.New(stderr, "sdbpd: ", log.LstdFlags)
 
-	var store serve.Store
-	switch *storeKind {
-	case "mem":
-		store = serve.NewMemStore()
-	case "disk":
+	var store serve.Store // nil: the in-memory default
+	if *storeDir != "" {
 		ds, err := serve.NewDiskStore(*storeDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "sdbpd:", err)
 			return 1
 		}
 		store = ds
-	default:
-		fmt.Fprintf(stderr, "sdbpd: unknown -store %q (valid: mem, disk)\n", *storeKind)
-		return 2
-	}
-
-	var ck *runner.Checkpoint
-	if *resume && *checkpoint == "" {
-		*checkpoint = "sdbpd.ckpt"
-	}
-	if *checkpoint != "" {
-		c, err := runner.OpenCheckpoint(*checkpoint, *resume)
-		if err != nil {
-			fmt.Fprintln(stderr, "sdbpd:", err)
-			return 1
-		}
-		ck = c
-		defer ck.Close()
-		if *resume {
-			logger.Printf("resume: %d checkpointed jobs loaded from %s", ck.Len(), *checkpoint)
-		}
 	}
 
 	// SIGINT/SIGTERM start the drain (shared helper with
-	// cmd/experiments), so containerized stops checkpoint cleanly.
+	// cmd/experiments), so containerized stops store what is running.
 	ctx, stop := runner.SignalContext(parent)
 	defer stop()
 
@@ -114,7 +82,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		Workers:    *workers,
 		JobTimeout: *timeout,
 		Store:      store,
-		Checkpoint: ck,
 		Log:        logger,
 	})
 
@@ -138,7 +105,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	case <-ctx.Done():
 	}
 
-	logger.Printf("draining: in-flight jobs finish and checkpoint; queued work answers 503 (grace %s)", *grace)
+	logger.Printf("draining: in-flight jobs finish and store; queued work answers 503 (grace %s)", *grace)
 	shCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	code := 0

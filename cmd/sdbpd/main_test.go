@@ -112,14 +112,15 @@ func counterValue(t *testing.T, base, name string) uint64 {
 	return snap.Counters[name]
 }
 
-// TestDaemonCacheHitThenCrashResume is the daemon-level end-to-end:
-// a resubmitted spec is a cache hit, and after a restart with -resume
-// the checkpoint — not a re-simulation — reproduces the byte-identical
-// manifest.
+// TestDaemonCacheHitThenCrashResume is the daemon-level end-to-end: a
+// resubmitted spec is a cache hit, and a second daemon started on the
+// same -store-dir, while the first is dropped without a drain, answers
+// the byte-identical manifest as a cache hit without submitting a job,
+// also while a running job holds its only run slot.
 func TestDaemonCacheHitThenCrashResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sdbpd.ckpt")
+	dir := filepath.Join(t.TempDir(), "store")
 
-	base, stop := startDaemon(t, "-checkpoint", ckpt)
+	base, _ := startDaemon(t, "-store-dir", dir)
 	resp1, body1 := postJob(t, base, tinySpec)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("first submit: HTTP %d: %s", resp1.StatusCode, body1)
@@ -134,42 +135,78 @@ func TestDaemonCacheHitThenCrashResume(t *testing.T) {
 	if hits := counterValue(t, base, "serve_cache_hits"); hits < 1 {
 		t.Errorf("serve_cache_hits = %d, want >= 1", hits)
 	}
-	if code := stop(); code != 0 {
-		t.Fatalf("first daemon exit code = %d", code)
+
+	// The first daemon is never drained; the second takes over its
+	// directory as a restart after a crash would.
+	base2, stop2 := startDaemon(t, "-store-dir", dir, "-workers", "1")
+	hit := func(when string) {
+		t.Helper()
+		resp, body := postJob(t, base2, tinySpec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", when, resp.StatusCode, body)
+		}
+		if src := resp.Header.Get("X-Sdbpd-Cache"); src != "hit" {
+			t.Errorf("%s: source = %q, want hit", when, src)
+		}
+		if !bytes.Equal(body1, body) {
+			t.Errorf("%s: manifest differs from the original:\n%s\nvs\n%s", when, body1, body)
+		}
+	}
+	hit("after the restart")
+	if got := counterValue(t, base2, "runner_jobs_submitted"); got != 0 {
+		t.Errorf("runner_jobs_submitted = %d, want 0 (a stored result needs no job)", got)
 	}
 
-	base2, stop2 := startDaemon(t, "-checkpoint", ckpt, "-resume")
-	resp3, body3 := postJob(t, base2, tinySpec)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("post-restart submit: HTTP %d: %s", resp3.StatusCode, body3)
+	// A full-scale job holds the only run slot for about half a second
+	// on a 2-CPU host; the stored result must not wait for it.
+	blocked := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base2+"/v1/jobs", "application/json", strings.NewReader(`{"policy":"LRU","workloads":["429.mcf"]}`))
+		if err != nil {
+			t.Error(err)
+			blocked <- 0
+			return
+		}
+		resp.Body.Close()
+		blocked <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(15 * time.Second)
+	for counterValue(t, base2, "runner_jobs_submitted") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the blocking job never started")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if !bytes.Equal(body1, body3) {
-		t.Errorf("post-restart manifest differs from the original:\n%s\nvs\n%s", body1, body3)
-	}
-	if got := counterValue(t, base2, "runner_jobs_from_checkpoint"); got != 1 {
-		t.Errorf("runner_jobs_from_checkpoint = %d, want 1", got)
-	}
+	hit("while a job holds the only run slot")
 	if got := counterValue(t, base2, "runner_jobs_succeeded"); got != 0 {
-		t.Errorf("runner_jobs_succeeded = %d, want 0 (resume must not re-simulate)", got)
+		t.Errorf("runner_jobs_succeeded = %d right after the hit, want 0: the job should still hold the slot", got)
+	}
+	if code := <-blocked; code != http.StatusOK {
+		t.Errorf("blocking job: HTTP %d", code)
 	}
 	if code := stop2(); code != 0 {
 		t.Fatalf("second daemon exit code = %d", code)
 	}
 }
 
+// TestDaemonRejectsBadFlags: the journal, backend and log-level flags
+// are gone, and an invocation that still passes one fails loudly
+// instead of running without it.
 func TestDaemonRejectsBadFlags(t *testing.T) {
-	var errBuf bytes.Buffer
-	if code := run(context.Background(), []string{"-store", "bogus"}, io.Discard, &errBuf); code != 2 {
-		t.Errorf("-store bogus: exit %d, want 2; stderr: %s", code, errBuf.String())
-	}
-	if !strings.Contains(errBuf.String(), "unknown -store") {
-		t.Errorf("stderr does not explain the bad flag: %s", errBuf.String())
+	for _, args := range [][]string{{"-store", "disk"}, {"-checkpoint", "sdbpd.ckpt"}, {"-resume"}, {"-log-level", "warn"}} {
+		var errBuf bytes.Buffer
+		if code := run(context.Background(), args, io.Discard, &errBuf); code != 2 {
+			t.Errorf("%v: exit %d, want 2; stderr: %s", args, code, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr does not name the bad flag: %s", args, errBuf.String())
+		}
 	}
 }
 
 func TestDaemonDiskStoreServesResultsEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	base, _ := startDaemon(t, "-store", "disk", "-store-dir", filepath.Join(dir, "store"))
+	base, _ := startDaemon(t, "-store-dir", filepath.Join(dir, "store"))
 	resp, body := postJob(t, base, tinySpec)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)

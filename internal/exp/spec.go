@@ -319,11 +319,18 @@ func (r *Resolved) String() string {
 	for _, m := range r.Mixes {
 		s.Mixes = append(s.Mixes, m.Name)
 	}
-	llc := r.LLCFor(maxInt(r.Cores, boolToInt(len(r.Mixes) > 0)*4))
-	if llc.SizeBytes%(1<<20) == 0 {
-		s.LLC = fmt.Sprintf("llc(mb=%d,ways=%d)", llc.SizeBytes>>20, llc.Ways)
-	} else {
-		s.LLC = fmt.Sprintf("llc(kb=%d,ways=%d)", llc.SizeBytes>>10, llc.Ways)
+	// Workloads run at LLCFor(Cores) and mixes at LLCFor(4). When a spec
+	// with both sets no geometry and those defaults differ, no one llc
+	// names its runs, so the canonical form leaves it out and resolves
+	// back to both defaults.
+	both := len(r.Workloads) > 0 && len(r.Mixes) > 0
+	if !both || r.LLCFor(r.Cores) == r.LLCFor(4) {
+		llc := r.LLCFor(maxInt(r.Cores, boolToInt(len(r.Mixes) > 0)*4))
+		if llc.SizeBytes%(1<<20) == 0 {
+			s.LLC = fmt.Sprintf("llc(mb=%d,ways=%d)", llc.SizeBytes>>20, llc.Ways)
+		} else {
+			s.LLC = fmt.Sprintf("llc(kb=%d,ways=%d)", llc.SizeBytes>>10, llc.Ways)
+		}
 	}
 	if r.Sampled {
 		// Sampling knobs appear with every default made explicit, so

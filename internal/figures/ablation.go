@@ -17,12 +17,7 @@ type Ablation struct {
 	Speedup map[string]float64 // variant -> gmean speedup over LRU
 }
 
-// RunAblation performs the Figure 6 sweep.
-func RunAblation(scale float64) *Ablation {
-	return RunAblationEnv(DefaultEnv(), scale)
-}
-
-// RunAblationEnv is RunAblation on a shared environment.
+// RunAblationEnv performs the Figure 6 sweep.
 func RunAblationEnv(e *Env, scale float64) *Ablation {
 	benches := sortedNames(workloads.Subset())
 	specs := []exp.Policy{LRUSpec()}

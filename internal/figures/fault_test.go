@@ -100,7 +100,7 @@ func TestMatrixDeterministicUnderParallelism(t *testing.T) {
 	benches := sortedNames(workloads.Subset())[:4]
 	specs := append([]exp.Policy{LRUSpec()}, StandardPolicies()[:2]...)
 	run := func() *Matrix {
-		m := RunMatrix(benches, specs, sim.SingleOptions{Scale: tinyScale})
+		m := RunMatrixEnv(DefaultEnv(), benches, specs, sim.SingleOptions{Scale: tinyScale})
 		// Duration is wall-clock observability metadata, not simulated
 		// work; normalize it the way the golden tests strip section
 		// footers.

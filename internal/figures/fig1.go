@@ -20,12 +20,7 @@ type Fig1 struct {
 	SamplerMap        [][]float64
 }
 
-// RunFig1 performs the Figure 1 measurement.
-func RunFig1(scale float64) *Fig1 {
-	return RunFig1Env(DefaultEnv(), scale)
-}
-
-// RunFig1Env is RunFig1 on a shared environment.
+// RunFig1Env performs the Figure 1 measurement.
 func RunFig1Env(e *Env, scale float64) *Fig1 {
 	opts := sim.SingleOptions{Scale: scale, LLC: exp.MustGeometry("llc(mb=1)"), KeepLineEfficiencies: true}
 	lru := singleCell("456.hmmer", LRUSpec(), 1, opts)

@@ -6,8 +6,10 @@
 // cache sensitivity curves (IV), and the cache-efficiency illustration
 // (Figure 1).
 //
-// Each figure has a Run function that performs the sweep and a Render
-// method that prints the same rows/series the paper reports.
+// Each figure has a RunXEnv function that performs its sweep on an Env
+// (the campaign's runner settings and cell memo; DefaultEnv for a
+// one-off run) and a Render method that prints the same rows/series
+// the paper reports.
 package figures
 
 import (
@@ -107,12 +109,6 @@ func (m *Matrix) Series(pol string, f func(sim.SingleResult) float64) []float64 
 		out[i] = m.Val(b, pol, f)
 	}
 	return out
-}
-
-// RunMatrix sweeps every benchmark against every policy in parallel
-// with the default execution environment.
-func RunMatrix(benches []workloads.Workload, specs []exp.Policy, opts sim.SingleOptions) *Matrix {
-	return RunMatrixEnv(DefaultEnv(), benches, specs, opts)
 }
 
 // RunMatrixEnv sweeps every benchmark against every policy on the

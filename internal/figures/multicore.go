@@ -25,15 +25,9 @@ type Multicore struct {
 	NormMPKI map[string]float64
 }
 
-// RunMulticoreFigure performs one Figure 10 panel's sweep: the given
-// policies plus the LRU baseline over all ten mixes.
-func RunMulticoreFigure(specs []exp.Policy, scale float64) *Multicore {
-	return RunMulticoreFigureEnv(DefaultEnv(), specs, scale)
-}
-
-// RunMulticoreFigureEnv is RunMulticoreFigure on a shared environment.
-// Both panels read the same LRU baseline cells, so one Env runs them
-// once.
+// RunMulticoreFigureEnv performs one Figure 10 panel's sweep: the
+// given policies plus the LRU baseline over all ten mixes. Both panels
+// read the same LRU baseline cells, so one Env runs them once.
 func RunMulticoreFigureEnv(e *Env, specs []exp.Policy, scale float64) *Multicore {
 	return runMulticore(e, workloads.Mixes(), specs, scale, hier.LLCConfig(4))
 }

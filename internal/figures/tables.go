@@ -98,13 +98,8 @@ type Table3Row struct {
 	IPCLRU   float64
 }
 
-// RunTable3 characterizes all 29 benchmarks.
-func RunTable3(scale float64) *Table3 {
-	return RunTable3Env(DefaultEnv(), scale)
-}
-
-// RunTable3Env is RunTable3 on a shared environment. Each row reads
-// two cells, the benchmark's LRU run and its optimal MIN; a benchmark
+// RunTable3Env characterizes all 29 benchmarks. Each row reads two
+// cells, the benchmark's LRU run and its optimal MIN; a benchmark
 // keeps its identity columns when they fail, and the failed cell's
 // metrics render as ERR.
 func RunTable3Env(e *Env, scale float64) *Table3 {
@@ -164,13 +159,8 @@ type Table4 struct {
 	Curves map[string][]float64 // mix name -> MPKI per SensitivitySizes entry
 }
 
-// RunTable4 computes the sensitivity curves. Each distinct benchmark is
-// simulated once per size and shared across mixes.
-func RunTable4(scale float64) *Table4 {
-	return RunTable4Env(DefaultEnv(), scale)
-}
-
-// RunTable4Env is RunTable4 on a shared environment. A failed point
+// RunTable4Env computes the sensitivity curves. Each distinct benchmark
+// is simulated once per size and shared across mixes. A failed point
 // poisons (only) the curve points of mixes containing that benchmark,
 // which render as ERR.
 func RunTable4Env(e *Env, scale float64) *Table4 {

@@ -200,3 +200,14 @@ func (t *Trace) Spans() []SpanRecord {
 	sortSpans(out)
 	return out
 }
+
+// SortedAttrKeys returns a span attribute map's keys in sorted order,
+// for deterministic rendering by exporters and reports.
+func SortedAttrKeys(attrs map[string]string) []string {
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -6,19 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"sync"
-
-	"sdbp/internal/obs"
 )
 
 // Warnf receives non-fatal checkpoint degradation notices (a torn or
-// corrupt journal tail skipped on resume). It defaults to the process
-// structured logger at warn level (obs.Default, swappable via
-// obs.SetDefault); commands may redirect it, tests may capture it.
-var Warnf = func(format string, args ...any) {
-	obs.Default().Warn(fmt.Sprintf(format, args...), "component", "runner")
-}
+// corrupt journal tail skipped on resume). It writes through the
+// standard log package; tests may capture it.
+var Warnf = log.Printf
 
 // Checkpoint is an append-only JSON-lines journal of completed job
 // results. Each line is {"key": ..., "value": ...}; the key embeds

@@ -1,15 +1,11 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"sdbp/internal/obs"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -239,20 +235,5 @@ func TestCheckpointCorruptMiddleLineEndsPrefix(t *testing.T) {
 	}
 	if ck.Len() != 1 {
 		t.Fatalf("loaded %d entries, want 1", ck.Len())
-	}
-}
-
-// TestWarnfDefaultIsStructured: the stock Warnf emits one key=value
-// line through the process obs logger, tagged component=runner.
-func TestWarnfDefaultIsStructured(t *testing.T) {
-	var buf bytes.Buffer
-	prev := obs.SetDefault(obs.NewLogger(&buf, obs.LevelWarn))
-	defer obs.SetDefault(prev)
-	Warnf("torn tail at line %d", 7)
-	line := buf.String()
-	for _, want := range []string{"level=warn", `msg="torn tail at line 7"`, "component=runner"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("default Warnf line %q missing %q", line, want)
-		}
 	}
 }

@@ -67,8 +67,8 @@ func (a *admission) depth() int { return len(a.queue) }
 
 // drain stops admission, fails every waiting job with errShuttingDown
 // and takes every run slot, so it returns once the running jobs have
-// finished — their results stored and checkpointed — or with ctx.Err()
-// if they outlive the deadline.
+// finished and stored their results, or with ctx.Err() if they outlive
+// the deadline.
 func (a *admission) drain(ctx context.Context) error {
 	close(a.stop)
 	for range cap(a.slots) {

@@ -7,15 +7,15 @@ import (
 	"sync"
 )
 
-// Live progress streaming: every submission opens (or reuses) a
-// per-address event feed recording the job's lifecycle in publish
-// order — submitted → queued → running → progress… → stored → done on
-// the miss path, submitted → cached → done on a hit, with failed
-// terminating an unsuccessful job. GET /v1/jobs/{addr}/events serves
-// the feed as Server-Sent Events: the full history first (so watching
-// a finished job replays its complete, deterministically ordered
-// lifecycle), then the live tail until the feed closes or the client
-// disconnects.
+// Live progress streaming: every submission opens (or reuses) its
+// address's event feed in the job table, recording the job's lifecycle
+// in publish order — submitted → queued → running → progress… → stored
+// → done on the miss path, submitted → cached → done on a hit, with
+// failed terminating an unsuccessful job. GET /v1/jobs/{addr}/events
+// serves the feed as Server-Sent Events: the full history first (so
+// watching a finished job replays its complete, deterministically
+// ordered lifecycle), then the live tail until the feed closes or the
+// client disconnects.
 
 // JobEvent is one lifecycle event on a job's feed.
 type JobEvent struct {
@@ -63,85 +63,18 @@ func (f *eventFeed) publish(typ, detail string, done, total int) {
 	f.cond.Broadcast()
 }
 
+// live reports whether the feed is still open for events.
+func (f *eventFeed) live() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return !f.closed
+}
+
 func (f *eventFeed) close() {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
 	f.cond.Broadcast()
-}
-
-// eventBroker maps addresses to their current feed generation, bounded
-// by FIFO eviction like the trace store.
-type eventBroker struct {
-	mu    sync.Mutex
-	max   int
-	feeds map[string]*eventFeed
-	order []string
-}
-
-func newEventBroker(max int) *eventBroker {
-	return &eventBroker{max: max, feeds: make(map[string]*eventFeed)}
-}
-
-// submitted opens addr's feed for a new submission and publishes the
-// submitted event. A still-live feed (a concurrent duplicate
-// submission) is reused untouched so one job produces one lifecycle;
-// a finished feed is replaced by a fresh generation.
-func (br *eventBroker) submitted(addr string) {
-	if br == nil {
-		return
-	}
-	br.mu.Lock()
-	f, ok := br.feeds[addr]
-	if ok {
-		f.mu.Lock()
-		live := !f.closed
-		f.mu.Unlock()
-		if live {
-			br.mu.Unlock()
-			return
-		}
-	}
-	if !ok {
-		br.order = append(br.order, addr)
-		for len(br.order) > br.max {
-			if old := br.feeds[br.order[0]]; old != nil {
-				old.close()
-			}
-			delete(br.feeds, br.order[0])
-			br.order = br.order[1:]
-		}
-	}
-	f = newEventFeed(addr)
-	br.feeds[addr] = f
-	br.mu.Unlock()
-	f.publish("submitted", "", 0, 0)
-}
-
-func (br *eventBroker) feed(addr string) (*eventFeed, bool) {
-	if br == nil {
-		return nil, false
-	}
-	br.mu.Lock()
-	defer br.mu.Unlock()
-	f, ok := br.feeds[addr]
-	return f, ok
-}
-
-// publish appends an event to addr's current feed (no-op when there is
-// none, e.g. after eviction).
-func (br *eventBroker) publish(addr, typ, detail string, done, total int) {
-	if f, ok := br.feed(addr); ok {
-		f.publish(typ, detail, done, total)
-	}
-}
-
-// finish publishes the terminal event and closes the feed.
-func (br *eventBroker) finish(addr, typ, detail string) {
-	if f, ok := br.feed(addr); ok {
-		f.publish(typ, detail, 0, 0)
-		f.close()
-	}
 }
 
 // handleEvents streams a job's lifecycle as Server-Sent Events — the
@@ -155,11 +88,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "", fmt.Errorf("serve: %q is not a result address (64 hex digits)", addr))
 		return
 	}
-	f, ok := s.events.feed(addr)
+	j, ok := s.jobs.get(addr)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, addr, fmt.Errorf("serve: no job events for %s", addr))
 		return
 	}
+	f := j.feed
 	flusher, canFlush := w.(http.Flusher)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

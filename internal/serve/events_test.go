@@ -208,3 +208,82 @@ func TestEventsErrors(t *testing.T) {
 		t.Errorf("unknown addr: HTTP %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestEvictionClosesLiveFeed: the server keeps the trace and event
+// feed of the 256 most recently submitted addresses. A 257th evicts
+// the oldest even while its job runs: a watcher on it sees the feed
+// close with no terminal event, and its trace and feed then 404, while
+// the next oldest address keeps both.
+func TestEvictionClosesLiveFeed(t *testing.T) {
+	oldest := addrOf(t, specN(0))
+	release := make(chan struct{})
+	cfg := quietCfg()
+	cfg.WrapJob = func(addr string, run func(ctx context.Context) (serve.Result, error)) func(ctx context.Context) (serve.Result, error) {
+		return func(ctx context.Context) (serve.Result, error) {
+			if addr == oldest {
+				<-release
+			}
+			return serve.Result{Schema: serve.ResultSchema, Spec: "canned", Addr: addr}, nil
+		}
+	}
+	_, ts := newTestServer(t, cfg)
+	releaseAll := releaseOnCleanup(t, release)
+
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(specN(0)))
+		if err != nil {
+			t.Error(err)
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	// The client timeout bounds the watch, so a feed that never closes
+	// fails the test instead of hanging it.
+	client := &http.Client{Timeout: 10 * time.Second}
+	var watch *http.Response
+	deadline := time.Now().Add(5 * time.Second)
+	for watch == nil {
+		r, err := client.Get(ts.URL + "/v1/jobs/" + oldest + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode == http.StatusOK {
+			watch = r
+			break
+		}
+		r.Body.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("job feed never appeared")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	for n := 1; n <= 256; n++ {
+		if resp, body := submit(t, ts, specN(n)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("submission %d: HTTP %d: %s", n, resp.StatusCode, body)
+		}
+	}
+	got := eventTypes(parseSSE(t, watch))
+	if want := []string{"submitted", "queued", "running"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("evicted feed = %v, want %v and then closed", got, want)
+	}
+	for _, path := range []string{"/v1/traces/" + oldest, "/v1/jobs/" + oldest + "/events"} {
+		if resp, _ := get(t, ts, path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+	next := addrOf(t, specN(1))
+	for _, path := range []string{"/v1/traces/" + next, "/v1/jobs/" + next + "/events"} {
+		if resp, _ := get(t, ts, path); resp.StatusCode != http.StatusOK {
+			t.Errorf("retained %s: HTTP %d, want 200", path, resp.StatusCode)
+		}
+	}
+
+	releaseAll()
+	if code := <-answered; code != http.StatusOK {
+		t.Errorf("evicted job's own submission: HTTP %d, want 200", code)
+	}
+}

@@ -5,8 +5,8 @@ package serve_test
 // overload (429, no goroutine growth), a panicking job (fails alone),
 // storage-write failures (cache degrades, requests still served),
 // shutdown mid-job (in-flight drains, queued work 503s), and a crash
-// followed by a checkpoint resume (byte-identical manifest, no
-// re-simulation).
+// followed by a restart on the same disk store (byte-identical cache
+// hits, no re-simulation, torn writes ignored).
 
 import (
 	"bytes"
@@ -28,7 +28,6 @@ import (
 
 	"sdbp/internal/exp"
 	"sdbp/internal/obs"
-	"sdbp/internal/runner"
 	"sdbp/internal/serve"
 )
 
@@ -236,8 +235,6 @@ func (f *failingStore) Put(addr string, data []byte) error {
 	return f.inner.Put(addr, data)
 }
 
-func (f *failingStore) Close() error { return f.inner.Close() }
-
 // TestStorageFailureDegradesGracefully: a broken cache backend must
 // cost recomputation, never correctness or availability.
 func TestStorageFailureDegradesGracefully(t *testing.T) {
@@ -358,97 +355,137 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestCrashRestartResumesByteIdentical is the crash-safety contract:
-// a server that checkpoints its completed jobs and then dies without
-// any graceful shutdown is replaced by a fresh server resuming the
-// same journal; resubmitting the same experiment yields the
-// byte-identical manifest without re-simulating.
-func TestCrashRestartResumesByteIdentical(t *testing.T) {
-	ckptPath := filepath.Join(t.TempDir(), "sdbpd.ckpt")
-
-	ck1, err := runner.OpenCheckpoint(ckptPath, false)
+// crashAfterSubmit answers tinySpec on a server storing results in
+// dir, then drops the server without Shutdown or a drain, as a crash
+// would, and returns the manifest it answered.
+func crashAfterSubmit(t *testing.T, dir string) []byte {
+	t.Helper()
+	store, err := serve.NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg1 := quietCfg()
-	cfg1.Checkpoint = ck1
-	s1 := serve.New(cfg1)
-	ts1 := httptest.NewServer(s1.Handler())
-	resp1, body1 := submit(t, ts1, tinySpec)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first server submit: HTTP %d", resp1.StatusCode)
+	cfg := quietCfg()
+	cfg.Store = store
+	ts := httptest.NewServer(serve.New(cfg).Handler())
+	defer ts.Close()
+	resp, body := submit(t, ts, tinySpec)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first server submit: HTTP %d: %s", resp.StatusCode, body)
 	}
-	// Crash: no Shutdown, no drain — just the journal hitting disk and
-	// the process "dying" (server abandoned, file closed as the OS
-	// would).
-	ts1.Close()
-	ck1.Close()
-
-	ck2, err := runner.OpenCheckpoint(ckptPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if ck2.Len() != 1 {
-		t.Fatalf("journal holds %d entries after crash, want 1", ck2.Len())
-	}
-	cfg2 := quietCfg()
-	cfg2.Checkpoint = ck2
-	// Fresh memory store: the cache died with the process; only the
-	// checkpoint survives.
-	s2, ts2 := newTestServer(t, cfg2)
-
-	resp2, body2 := submit(t, ts2, tinySpec)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("resumed submit: HTTP %d", resp2.StatusCode)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Errorf("resumed manifest differs from the pre-crash manifest:\n%s\nvs\n%s", body1, body2)
-	}
-	reg := s2.Registry()
-	if got := reg.CounterValue(obs.CtrJobsFromCheckpoint); got != 1 {
-		t.Errorf("jobs from checkpoint = %d, want 1", got)
-	}
-	if got := reg.CounterValue(obs.CtrJobsSucceeded); got != 0 {
-		t.Errorf("re-simulated jobs = %d, want 0", got)
-	}
+	return body
 }
 
-// TestCrashRestartWithTornJournalTail: the crash happened mid-Record —
-// the journal ends in a torn line. The resume must still load the
-// intact prefix (warning, not error) and serve it.
-func TestCrashRestartWithTornJournalTail(t *testing.T) {
-	ckptPath := filepath.Join(t.TempDir(), "sdbpd.ckpt")
-	ck1, _ := runner.OpenCheckpoint(ckptPath, false)
-	cfg1 := quietCfg()
-	cfg1.Checkpoint = ck1
-	s1 := serve.New(cfg1)
-	ts1 := httptest.NewServer(s1.Handler())
-	_, body1 := submit(t, ts1, tinySpec)
-	ts1.Close()
-	ck1.Close()
-
-	// Tear the tail as a crash mid-write would.
-	f, err := os.OpenFile(ckptPath, os.O_APPEND|os.O_WRONLY, 0o644)
+// restartAnswersFromStore restarts a one-slot server on dir and checks
+// that tinySpec comes back as want, a cache hit that submits no runner
+// job: first on the idle server, then while a blocked job for blocker
+// holds the only run slot. It returns once the blocked job answered,
+// with that answer.
+func restartAnswersFromStore(t *testing.T, dir string, want []byte, blocker string) []byte {
+	t.Helper()
+	store, err := serve.NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.WriteString(f, `{"key":"policy=sampler(`)
-	f.Close()
-
-	old := runner.Warnf
-	runner.Warnf = func(string, ...any) {}
-	defer func() { runner.Warnf = old }()
-	ck2, err := runner.OpenCheckpoint(ckptPath, true)
-	if err != nil {
-		t.Fatalf("resume with torn tail failed: %v", err)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	cfg := quietCfg()
+	cfg.Store = store
+	cfg.Workers = 1
+	cfg.WrapJob = func(addr string, run func(context.Context) (serve.Result, error)) func(context.Context) (serve.Result, error) {
+		return func(ctx context.Context) (serve.Result, error) {
+			started <- struct{}{}
+			<-release
+			return serve.Result{Schema: serve.ResultSchema, Spec: "blocked", Addr: addr}, nil
+		}
 	}
-	defer ck2.Close()
-	cfg2 := quietCfg()
-	cfg2.Checkpoint = ck2
-	_, ts2 := newTestServer(t, cfg2)
-	resp2, body2 := submit(t, ts2, tinySpec)
-	if resp2.StatusCode != http.StatusOK || !bytes.Equal(body1, body2) {
-		t.Errorf("torn-tail resume: HTTP %d, identical=%t", resp2.StatusCode, bytes.Equal(body1, body2))
+	s, ts := newTestServer(t, cfg)
+	releaseAll := releaseOnCleanup(t, release)
+	reg := s.Registry()
+
+	// The client timeout bounds each hit, so a hit that waits for the
+	// held slot fails the test instead of hanging it.
+	client := &http.Client{Timeout: 10 * time.Second}
+	hit := func(when string) {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tinySpec))
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", when, resp.StatusCode, body)
+		}
+		if src := resp.Header.Get("X-Sdbpd-Cache"); src != "hit" {
+			t.Errorf("%s: cache source = %q, want hit", when, src)
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("%s: manifest differs from the pre-crash manifest:\n%s\nvs\n%s", when, body, want)
+		}
+	}
+	hit("after the restart")
+	if got := reg.CounterValue(obs.CtrJobsSubmitted); got != 0 {
+		t.Errorf("runner jobs submitted = %d, want 0: a stored result needs no job", got)
+	}
+
+	blocked := make(chan []byte, 1)
+	go func() {
+		var body []byte
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(blocker))
+		if err == nil {
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("blocked job: %v, answer %s", err, body)
+		}
+		blocked <- body
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the blocking job never started")
+	}
+	hit("while a blocked job holds the only run slot")
+	if got := reg.CounterValue(obs.CtrJobsSubmitted); got != 1 {
+		t.Errorf("runner jobs submitted = %d, want 1: the blocked job only", got)
+	}
+	releaseAll()
+	return <-blocked
+}
+
+// TestCrashRestartResumesByteIdentical is the crash-safety contract: a
+// server storing its results on disk dies without any graceful
+// shutdown, and a fresh server on the same directory answers the same
+// experiment with the byte-identical manifest as a cache hit, without
+// re-simulating or waiting for a run slot.
+func TestCrashRestartResumesByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	body := crashAfterSubmit(t, dir)
+	restartAnswersFromStore(t, dir, body, specN(1))
+}
+
+// TestCrashRestartIgnoresTornPut: the crash happened in the middle of
+// two Puts, one rewriting the stored result and one storing a new
+// result, and left each a torn temp file. The restarted server still
+// answers the stored result byte-identically, and the address with
+// only a torn temp file is a miss that runs its job, never the torn
+// bytes.
+func TestCrashRestartIgnoresTornPut(t *testing.T) {
+	dir := t.TempDir()
+	body := crashAfterSubmit(t, dir)
+	for _, spec := range []string{tinySpec, specN(1)} {
+		torn := filepath.Join(dir, addrOf(t, spec)+".tmp123456")
+		if err := os.WriteFile(torn, body[:len(body)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := restartAnswersFromStore(t, dir, body, specN(1))
+	var res serve.Result
+	if err := json.Unmarshal(got, &res); err != nil || res.Spec != "blocked" {
+		t.Errorf("address with a torn temp file answered %q (%v), want the job's own manifest", got, err)
 	}
 }

@@ -7,25 +7,28 @@
 // A submission flows through a fixed pipeline, every stage of which is
 // bounded:
 //
-//	decode → resolve → content address → result cache
+//	decode → resolve → content address → result store
 //	       → singleflight → bounded admission queue
-//	       → one of Workers run slots → runner → cache + checkpoint
+//	       → one of Workers run slots → runner → result store
 //
 // Stage by stage:
 //
 //   - The canonical spec expression (exp.Resolved.String) gives every
 //     experiment an exact content address; identical submissions share
-//     one cached result (see Addr for which spellings are identical).
+//     one stored result (see Addr for which spellings are identical).
 //   - Concurrent identical submissions collapse in the singleflight
 //     layer: N in-flight duplicates cost one simulation.
 //   - The singleflight leader runs its own job. It takes an admission
 //     token — a full queue answers 429 + Retry-After instead of growing
 //     goroutines — then waits for one of Config.Workers run slots and
 //     runs the job as a one-job runner.Run, inheriting the runner's
-//     panic isolation, per-job timeout and checkpoint journaling.
-//   - Shutdown drains: admission closes, queued work settles with 503,
-//     in-flight simulations finish and land in the JSONL checkpoint,
-//     so a restarted server resumes byte-identically.
+//     panic isolation and per-job timeout.
+//   - The result Store is the one copy of every result. A DiskStore
+//     writes each result before it is answered, so a server restarted
+//     on the same directory, after a drain or a crash, answers every
+//     finished job as a cache hit. Shutdown drains: admission closes,
+//     queued work settles with 503, in-flight simulations finish and
+//     store their results.
 package serve
 
 import (
@@ -59,20 +62,8 @@ type Config struct {
 	Workers int
 	// JobTimeout bounds each job; 0 means no limit.
 	JobTimeout time.Duration
-	// MaxBody caps a submission body in bytes; 0 means 1MiB.
-	MaxBody int64
-	// RetryAfter is the hint returned with 429/503; 0 means 1s.
-	RetryAfter time.Duration
 	// Store is the result cache backend; nil means NewMemStore.
 	Store Store
-	// Checkpoint, when non-nil, journals every completed job for
-	// crash-safe resume; the server does not close it.
-	Checkpoint *runner.Checkpoint
-	// Traces bounds retained job traces (and job event feeds); 0 means
-	// 256. The oldest address is evicted first.
-	Traces int
-	// Obs receives all metrics; nil means a fresh registry.
-	Obs *obs.Registry
 	// Log receives degradation warnings; nil means log.Default().
 	Log *log.Logger
 	// WrapJob, when non-nil, wraps every job body before execution.
@@ -81,6 +72,13 @@ type Config struct {
 	WrapJob func(addr string, run func(ctx context.Context) (Result, error)) func(ctx context.Context) (Result, error)
 }
 
+const (
+	// maxBody caps a submission body in bytes.
+	maxBody = 1 << 20
+	// retryAfterSeconds is the hint returned with 429/503.
+	retryAfterSeconds = 1
+)
+
 func (c Config) withDefaults() Config {
 	if c.Queue <= 0 {
 		c.Queue = 64
@@ -88,20 +86,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.Traces <= 0 {
-		c.Traces = 256
-	}
 	if c.Store == nil {
 		c.Store = NewMemStore()
-	}
-	if c.Obs == nil {
-		c.Obs = obs.NewRegistry()
 	}
 	if c.Log == nil {
 		c.Log = log.Default()
@@ -117,8 +103,7 @@ type Server struct {
 	store   Store
 	flights *flightGroup
 	adm     *admission
-	traces  *traceStore
-	events  *eventBroker
+	jobs    *jobTable
 
 	ready   atomic.Bool
 	runCtx  context.Context
@@ -131,12 +116,11 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		reg:     cfg.Obs,
+		reg:     obs.NewRegistry(),
 		store:   cfg.Store,
 		flights: newFlightGroup(),
 		adm:     newAdmission(cfg.Queue, cfg.Workers),
-		traces:  newTraceStore(cfg.Traces),
-		events:  newEventBroker(cfg.Traces),
+		jobs:    newJobTable(),
 		started: time.Now(),
 	}
 	s.runCtx, s.cancel = context.WithCancel(context.Background())
@@ -146,10 +130,9 @@ func New(cfg Config) *Server {
 
 // Shutdown drains the server: admission closes immediately (new work
 // gets 503 + Retry-After; cached results are still served), queued
-// jobs settle with 503, and running jobs finish their simulations —
-// journaling each into the checkpoint — and store their results. It
-// returns ctx.Err() if draining outlives the deadline, and then
-// abandons the stragglers.
+// jobs settle with 503, and running jobs finish their simulations and
+// store their results. It returns ctx.Err() if draining outlives the
+// deadline, and then abandons the stragglers.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.ready.CompareAndSwap(true, false) {
 		return nil
@@ -193,12 +176,8 @@ type errorBody struct {
 func (s *Server) writeError(w http.ResponseWriter, status int, addr string, err error) {
 	body := errorBody{Error: err.Error(), Addr: addr}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		secs := int(s.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		body.RetryAfterSeconds = secs
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		body.RetryAfterSeconds = retryAfterSeconds
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -216,7 +195,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tr, root := obs.NewTrace("job")
 	decSpan := root.StartChild("stage:decode")
 	var spec exp.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		decSpan.End()
@@ -247,8 +226,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Register the trace and open the event feed as soon as the address
 	// exists: a mid-flight GET /v1/traces/{addr} sees the stages so far,
 	// and watchers get the full lifecycle from "submitted" on.
-	s.traces.put(addr, tr)
-	s.events.submitted(addr)
+	s.jobs.submitted(addr, tr)
 
 	lookSpan := root.StartChild("stage:cache_lookup")
 	data, ok := s.cacheGet(addr)
@@ -257,8 +235,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.reg.Counter(CtrCacheHits).Inc()
 		root.SetAttr("source", "hit")
 		root.End()
-		s.events.publish(addr, "cached", "", 0, 0)
-		s.events.finish(addr, "done", "")
+		s.jobs.publish(addr, "cached", "", 0, 0)
+		s.jobs.finish(addr, "done", "")
 		s.writeResult(w, data, "hit")
 		return
 	}
@@ -268,7 +246,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		root.SetAttr("error", errShuttingDown.Error())
 		root.End()
 		s.reg.Counter(CtrShutdownRejects).Inc()
-		s.events.finish(addr, "failed", errShuttingDown.Error())
+		s.jobs.finish(addr, "failed", errShuttingDown.Error())
 		s.writeError(w, http.StatusServiceUnavailable, addr, errShuttingDown)
 		return
 	}
@@ -300,36 +278,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		root.SetAttr("source", source)
 		root.End()
-		s.events.finish(addr, "done", "")
+		s.jobs.finish(addr, "done", "")
 		s.writeResult(w, data, source)
 	case errors.Is(err, errQueueFull):
 		root.SetAttr("error", err.Error())
 		root.End()
 		s.reg.Counter(CtrQueueRejects).Inc()
-		s.events.finish(addr, "failed", err.Error())
+		s.jobs.finish(addr, "failed", err.Error())
 		s.writeError(w, http.StatusTooManyRequests, addr, err)
 	case errors.Is(err, errShuttingDown), errors.Is(err, context.Canceled):
 		root.SetAttr("error", errShuttingDown.Error())
 		root.End()
 		s.reg.Counter(CtrShutdownRejects).Inc()
-		s.events.finish(addr, "failed", errShuttingDown.Error())
+		s.jobs.finish(addr, "failed", errShuttingDown.Error())
 		s.writeError(w, http.StatusServiceUnavailable, addr, errShuttingDown)
 	default:
 		root.SetAttr("error", err.Error())
 		root.End()
-		s.events.finish(addr, "failed", err.Error())
+		s.jobs.finish(addr, "failed", err.Error())
 		s.writeError(w, http.StatusInternalServerError, addr, err)
 	}
 }
 
 // execute runs one cache-miss job and returns its manifest. Its stages
 // are the execute span's children: queue_wait (an admission token,
-// then a run slot), run (a one-job runner.Run, one attempt child per
-// try) and store. The job holds its run slot until its result is
-// stored.
+// then a run slot), run (a one-job runner.Run with its attempt child)
+// and store. The job holds its run slot until its result is stored.
 func (s *Server) execute(exec *obs.Span, addr, spec string, resolved *exp.Resolved) ([]byte, error) {
 	queue := exec.StartChild("queue_wait")
-	s.events.publish(addr, "queued", "", 0, 0)
+	s.jobs.publish(addr, "queued", "", 0, 0)
 	if err := s.adm.acquire(); err != nil {
 		queue.SetAttr("error", err.Error())
 		queue.End()
@@ -339,20 +316,19 @@ func (s *Server) execute(exec *obs.Span, addr, spec string, resolved *exp.Resolv
 	queue.End()
 
 	run := exec.StartChild("run")
-	s.events.publish(addr, "running", "", 0, 0)
+	s.jobs.publish(addr, "running", "", 0, 0)
 	job := func(ctx context.Context) (Result, error) {
 		return ExecuteSpec(ctx, resolved, s.reg, func(done, total int, name string) {
-			s.events.publish(addr, "progress", name, done, total)
+			s.jobs.publish(addr, "progress", name, done, total)
 		})
 	}
 	if s.cfg.WrapJob != nil {
 		job = s.cfg.WrapJob(addr, job)
 	}
 	set := runner.Run(s.runCtx, []runner.Job[Result]{{Key: spec, Run: job, Span: run}}, runner.Options{
-		Workers:    1,
-		Timeout:    s.cfg.JobTimeout,
-		Checkpoint: s.cfg.Checkpoint,
-		Obs:        s.reg,
+		Workers: 1,
+		Timeout: s.cfg.JobTimeout,
+		Obs:     s.reg,
 	})
 	res, ok := set.Value(spec)
 	if !ok {
@@ -380,7 +356,7 @@ func (s *Server) execute(exec *obs.Span, addr, spec string, resolved *exp.Resolv
 	}
 	// "stored" precedes the waiters' terminal "done", which the handler
 	// publishes once this returns.
-	s.events.publish(addr, "stored", "", 0, 0)
+	s.jobs.publish(addr, "stored", "", 0, 0)
 	return data, nil
 }
 

@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"sdbp/internal/exp"
 	"sdbp/internal/obs"
 	"sdbp/internal/serve"
+	"sdbp/internal/workloads"
 )
 
 // quietCfg returns a config with warnings discarded and two run
@@ -182,11 +184,80 @@ func TestSubmitSpellingsShareOneAddress(t *testing.T) {
 	}
 }
 
-// TestSubmitRejects pins the decode/resolve failure modes to 400s
-// with JSON error envelopes, and the body cap to 413.
-func TestSubmitRejects(t *testing.T) {
+// TestMixedSpecKeepsDefaultGeometries: a spec with workloads and mixes
+// and no llc runs its workloads at the 2MB single-core default and its
+// mixes at the 8MB quad-core one, so the same spec with llc(mb=8) is
+// another experiment. It must get its own address and its own run, and
+// the first spec's echoed canonical form must resolve back to 2MB
+// workload runs.
+func TestMixedSpecKeepsDefaultGeometries(t *testing.T) {
+	const (
+		implicit = `{"policy":"LRU","workloads":["456.hmmer"],"mixes":["mix1"],"scale":0.1}`
+		explicit = `{"policy":"LRU","workloads":["456.hmmer"],"mixes":["mix1"],"llc":"llc(mb=8,ways=16)","scale":0.1}`
+		single   = `{"policy":"LRU","workloads":["456.hmmer"],"scale":0.1}`
+	)
+	var execs atomic.Int64
 	cfg := quietCfg()
-	cfg.MaxBody = 1 << 12
+	cfg.WrapJob = cannedJob(&execs)
+	_, ts := newTestServer(t, cfg)
+	resp1, _ := submit(t, ts, implicit)
+	resp2, _ := submit(t, ts, explicit)
+	if a1, a2 := resp1.Header.Get("X-Sdbpd-Addr"), resp2.Header.Get("X-Sdbpd-Addr"); a1 == a2 {
+		t.Errorf("default geometries and llc(mb=8) share address %s", a1)
+	}
+	if src := resp2.Header.Get("X-Sdbpd-Cache"); src != "miss" || execs.Load() != 2 {
+		t.Errorf("llc(mb=8) twin: source %q after %d runs, want its own run (miss, 2 runs)", src, execs.Load())
+	}
+
+	resolve := func(body string) *exp.Resolved {
+		t.Helper()
+		var spec exp.Spec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		r, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	canonical := resolve(implicit).String()
+	echoed, err := exp.ParseSpec(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := echoed.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.String() != canonical {
+		t.Errorf("canonical %q re-resolves to %q", canonical, r.String())
+	}
+	if wl, mix := r.LLCFor(r.Cores).SizeBytes, r.LLCFor(4).SizeBytes; wl != 2<<20 || mix != 8<<20 {
+		t.Fatalf("echoed %q runs workloads at %d and mixes at %d bytes, want 2MB and 8MB", canonical, wl, mix)
+	}
+	w, err := workloads.ByName("456.hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want, twin := r.RunBench(w), resolve(single).RunBench(w), resolve(explicit).RunBench(w)
+	if got.LLC != want.LLC {
+		t.Errorf("echoed spec's 456.hmmer LLC stats %+v, want the 2MB default run's %+v", got.LLC, want.LLC)
+	}
+	if twin.LLC == want.LLC {
+		t.Errorf("456.hmmer at scale 0.1 runs alike at 2MB and 8MB; the check above cannot tell them apart")
+	}
+}
+
+// TestSubmitRejects pins the decode/resolve failure modes to 400s
+// with JSON error envelopes, and the 1 MiB body cap to 413.
+func TestSubmitRejects(t *testing.T) {
+	// bodyOf pads a spec naming an unknown policy to n bytes.
+	bodyOf := func(n int) string {
+		const head, tail = `{"policy":"`, `"}`
+		return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+	}
+	cfg := quietCfg()
 	cfg.WrapJob = cannedJob(nil)
 	s, ts := newTestServer(t, cfg)
 
@@ -200,7 +271,8 @@ func TestSubmitRejects(t *testing.T) {
 		{"unknown workload", `{"policy":"LRU","workloads":["999.nope"]}`, http.StatusBadRequest},
 		{"no selection", `{"policy":"LRU"}`, http.StatusBadRequest},
 		{"bad scale", `{"policy":"LRU","workloads":["456.hmmer"],"scale":-1}`, http.StatusBadRequest},
-		{"oversized body", `{"policy":"` + strings.Repeat("x", 1<<13) + `"}`, http.StatusRequestEntityTooLarge},
+		{"body at the cap", bodyOf(1 << 20), http.StatusBadRequest},
+		{"oversized body", bodyOf(1<<20 + 1), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

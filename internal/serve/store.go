@@ -17,7 +17,6 @@ import (
 type Store interface {
 	Get(addr string) ([]byte, bool, error)
 	Put(addr string, data []byte) error
-	Close() error
 }
 
 // MemStore is an in-process Store and the default backend. Its results
@@ -25,8 +24,8 @@ type Store interface {
 // memo drops its least recently used entries, this store's results
 // among them, and a dropped result's next submission recomputes it.
 // Each MemStore is its own key space, so two servers in one process
-// never share results. Results are lost on restart; crash-safe resume
-// comes from the runner checkpoint, not the cache.
+// never share results. Results are lost on restart; a DiskStore keeps
+// them across restarts.
 type MemStore struct {
 	results *memo.Cache[string, []byte]
 }
@@ -49,13 +48,12 @@ func (s *MemStore) Put(addr string, data []byte) error {
 	return nil
 }
 
-// Close is a no-op.
-func (s *MemStore) Close() error { return nil }
-
 // DiskStore keeps one file per result under a directory, so cached
-// results survive restarts. Writes go through a temp file and rename,
-// so a crash mid-Put leaves either the old value or none — never a
-// torn blob.
+// results survive restarts: a server restarted on the same directory
+// answers every stored result as a cache hit. Writes go through a temp
+// file and rename, so a crash mid-Put leaves either the old value or
+// none — never a torn blob — plus at worst a stray temp file, which
+// Get never reads.
 type DiskStore struct {
 	dir string
 }
@@ -119,6 +117,3 @@ func (s *DiskStore) Put(addr string, data []byte) error {
 	}
 	return nil
 }
-
-// Close is a no-op; every Put is already durable.
-func (s *DiskStore) Close() error { return nil }

@@ -39,9 +39,6 @@ func TestMemStore(t *testing.T) {
 	if got, _, _ := s.Get(testAddr); string(got) != "two" {
 		t.Errorf("stored value mutated through the caller's slice: %q", got)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMemStoreDropsLeastRecentlyUsedPastBudget fills the process memo
@@ -129,7 +126,6 @@ func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 	if err := s1.Put(testAddr, blob); err != nil {
 		t.Fatal(err)
 	}
-	s1.Close()
 
 	s2, err := serve.NewDiskStore(dir)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"sdbp/internal/obs"
@@ -14,54 +13,12 @@ import (
 // Job tracing: every submission owns one obs.Trace whose root "job"
 // span breaks into contiguous stage children (decode, cache_lookup,
 // execute), with the execute stage subdivided by the pipeline
-// (queue_wait, run with per-attempt children, store). The
-// trace is registered under the job's content address as soon as the
-// address is known — a trace fetched mid-flight shows the stages
+// (queue_wait, run with its attempt child, store). The trace is
+// registered in the job table under the job's content address as soon
+// as the address is known — a trace fetched mid-flight shows the stages
 // completed so far — and the root span ends just before the response
 // is written, so a finished job's trace reconciles against its
 // end-to-end latency (see CheckTrace).
-
-// traceStore retains the most recent trace per address, bounded by
-// FIFO eviction so a long-running service cannot accumulate traces
-// without limit.
-type traceStore struct {
-	mu    sync.Mutex
-	max   int
-	m     map[string]*obs.Trace
-	order []string // insertion order of live addresses, oldest first
-}
-
-func newTraceStore(max int) *traceStore {
-	return &traceStore{max: max, m: make(map[string]*obs.Trace)}
-}
-
-// put registers addr's trace, replacing any previous submission's and
-// evicting the oldest distinct address past the cap.
-func (ts *traceStore) put(addr string, tr *obs.Trace) {
-	if ts == nil || tr == nil {
-		return
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if _, ok := ts.m[addr]; !ok {
-		ts.order = append(ts.order, addr)
-		for len(ts.order) > ts.max {
-			delete(ts.m, ts.order[0])
-			ts.order = ts.order[1:]
-		}
-	}
-	ts.m[addr] = tr
-}
-
-func (ts *traceStore) get(addr string) (*obs.Trace, bool) {
-	if ts == nil {
-		return nil, false
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	tr, ok := ts.m[addr]
-	return tr, ok
-}
 
 // traceBody is the JSON shape of GET /v1/traces/{addr}.
 type traceBody struct {
@@ -78,12 +35,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "", fmt.Errorf("serve: %q is not a result address (64 hex digits)", addr))
 		return
 	}
-	tr, ok := s.traces.get(addr)
+	j, ok := s.jobs.get(addr)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, addr, fmt.Errorf("serve: no trace for %s", addr))
 		return
 	}
-	spans := tr.Spans()
+	spans := j.trace.Spans()
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		if err := probe.WriteSpanTraceEvents(w, spans); err != nil {
@@ -92,7 +49,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(traceBody{Trace: tr.ID(), Addr: addr, Spans: spans}, "", "  ")
+	b, err := json.MarshalIndent(traceBody{Trace: j.trace.ID(), Addr: addr, Spans: spans}, "", "  ")
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, addr, err)
 		return

@@ -3,16 +3,16 @@
 #
 # Builds the real binaries and drives them the way an operator would:
 #
-#   1. start sdbpd with a disk store and a checkpoint journal;
+#   1. start sdbpd with a disk store;
 #   2. submit a small spec twice through sdbpctl and prove the second
 #      submission is answered from the result cache (via /metrics);
 #   3. check the observability surface: the job's trace reconciles
 #      (sdbpctl trace -check), its SSE lifecycle replays in order
 #      (sdbpctl watch), and /metrics serves lint-clean Prometheus text;
 #   4. submit a long job, SIGTERM the daemon mid-run, and let the
-#      drain checkpoint whatever finished;
-#   5. restart with -resume and verify the resumed manifest is
-#      byte-identical to an uninterrupted run of the same spec.
+#      drain store whatever finished;
+#   5. restart on the same store directory and verify the small spec
+#      comes back byte-identical as a cache hit, with no job run.
 #
 # Exits non-zero on the first broken promise. Needs only a Go
 # toolchain and a POSIX shell.
@@ -38,8 +38,7 @@ go build -o "$workdir/sdbpctl" ./cmd/sdbpctl
 start_daemon() {
     : > "$workdir/daemon.log"
     "$workdir/sdbpd" -addr 127.0.0.1:0 \
-        -store disk -store-dir "$workdir/store" \
-        -checkpoint "$workdir/sdbpd.ckpt" "$@" 2>"$workdir/daemon.log" &
+        -store-dir "$workdir/store" "$@" 2>"$workdir/daemon.log" &
     daemon_pid=$!
     base=""
     for _ in $(seq 1 100); do
@@ -72,6 +71,8 @@ echo "== submit small spec twice: second must be a cache hit"
 cmp -s "$workdir/small1.json" "$workdir/small2.json" || fail "resubmitted manifest differs"
 hits=$(counter serve_cache_hits)
 [ "${hits:-0}" -ge 1 ] || fail "serve_cache_hits = ${hits:-unset}, want >= 1"
+submitted=$(counter runner_jobs_submitted)
+[ "${submitted:-0}" = 1 ] || fail "runner_jobs_submitted = ${submitted:-unset}, want 1: one job for two submissions"
 
 echo "== trace must be complete and reconcile"
 addr=$("$workdir/sdbpctl" addr -spec "$workdir/small.json")
@@ -99,7 +100,7 @@ for series in memo_bytes memo_entries memo_evictions_total; do
     grep -q "^$series " "$workdir/metrics.prom" || fail "exposition missing $series"
 done
 
-echo "== SIGTERM mid-job, then resume"
+echo "== SIGTERM mid-job, then restart"
 # The big spec runs for seconds; the submit will be cut off by the
 # daemon's death, which is the point.
 "$workdir/sdbpctl" submit -server "$base" -spec "$workdir/big.json" >/dev/null 2>&1 &
@@ -110,16 +111,14 @@ wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 wait "$submit_pid" 2>/dev/null || true
 
-echo "== restart with -resume; small spec must come back from the journal"
-# Destroy the result cache: resume must come from the checkpoint
-# journal alone, not the surviving disk store.
-rm -rf "$workdir/store"
-start_daemon -resume
-grep -q "resume:" "$workdir/daemon.log" || fail "daemon did not report a resume"
-"$workdir/sdbpctl" submit -server "$base" -spec "$workdir/small.json" > "$workdir/small3.json" 2>/dev/null
-cmp -s "$workdir/small1.json" "$workdir/small3.json" || fail "resumed manifest differs from the original"
-resumed=$(counter runner_jobs_from_checkpoint)
-[ "${resumed:-0}" -ge 1 ] || fail "runner_jobs_from_checkpoint = ${resumed:-unset}, want >= 1: the resume re-simulated"
+echo "== restart on the same store; small spec must come back as a cache hit"
+start_daemon
+"$workdir/sdbpctl" submit -server "$base" -spec "$workdir/small.json" > "$workdir/small3.json" 2>"$workdir/small3.err"
+cmp -s "$workdir/small1.json" "$workdir/small3.json" || fail "restarted manifest differs from the original"
+grep -q "result source: hit" "$workdir/small3.err" || fail "restarted answer is not a cache hit: $(cat "$workdir/small3.err")"
+# A counter never raised is absent from the snapshot: unset reads as 0.
+submitted=$(counter runner_jobs_submitted)
+[ "${submitted:-0}" = 0 ] || fail "runner_jobs_submitted = $submitted, want 0: the restart re-simulated"
 
 echo "== graceful stop"
 kill -TERM "$daemon_pid"
