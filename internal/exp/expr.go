@@ -15,8 +15,10 @@ import (
 //	name  = one or more of [A-Za-z0-9_.+-]
 //	key   = name
 //
-// Whitespace is tolerated between tokens; String renders the canonical
-// spelling with none. Keys must be unique within one argument list.
+// Whitespace is tolerated between tokens; String renders the spelling
+// with none. Keys must be unique within one argument list. The
+// registry's canonical expression of a component is what its factory
+// returns (see argSet), not the source spelling.
 type Expr struct {
 	// Name is the component or literal token.
 	Name string
@@ -30,8 +32,8 @@ type Arg struct {
 	Value Expr
 }
 
-// String renders the canonical spelling: no whitespace, arguments in
-// their original order, argument-less expressions as the bare name.
+// String renders the expression: no whitespace, arguments in their
+// order, argument-less expressions as the bare name.
 // ParseExpr(e.String()) reproduces e exactly.
 func (e Expr) String() string {
 	if len(e.Args) == 0 {
@@ -156,15 +158,23 @@ func (p *parser) expr() (Expr, error) {
 	}
 }
 
-// argSet consumes an expression's arguments by key, tracking which keys
-// a factory accepted so unknown parameters become errors.
+// argSet consumes an expression's arguments by key for one factory.
+// It tracks which keys the factory read, so unknown parameters become
+// errors, keeps the first malformed value as its error, and records
+// the canonical expression as the factory reads it: arguments in read
+// order, a sub-component always (itself canonical), a scalar or enum
+// only when its parsed value differs from the factory's default,
+// spelled from that value. Two spellings therefore share a canonical
+// expression only if they build the same configuration.
 type argSet struct {
-	expr Expr
-	used map[string]bool
+	expr  Expr
+	used  map[string]bool
+	canon Expr
+	err   error
 }
 
 func newArgs(e Expr) *argSet {
-	return &argSet{expr: e, used: map[string]bool{}}
+	return &argSet{expr: e, used: map[string]bool{}, canon: Expr{Name: e.Name}}
 }
 
 // value returns the raw value expression of key, marking it used.
@@ -178,84 +188,121 @@ func (a *argSet) value(key string) (Expr, bool) {
 	return Expr{}, false
 }
 
+// fail keeps err unless an earlier one is kept.
+func (a *argSet) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
+}
+
+// keep appends key=val to the canonical expression.
+func (a *argSet) keep(key string, val Expr) {
+	a.canon.Args = append(a.canon.Args, Arg{Key: key, Value: val})
+}
+
 // leaf returns key's value as a bare token, rejecting nested calls.
-func (a *argSet) leaf(key string) (string, bool, error) {
+func (a *argSet) leaf(key string) (string, bool) {
 	v, ok := a.value(key)
+	if ok && len(v.Args) != 0 {
+		a.fail(fmt.Errorf("exp: %s: parameter %s must be a literal, not %s", a.expr.Name, key, v))
+		return "", false
+	}
+	return v.Name, ok
+}
+
+// scalar parses key's token with parse and keeps its canonical
+// spelling when it differs from def; absent or malformed, it is def.
+func scalar[T comparable](a *argSet, key string, def T, kind string, parse func(string) (T, error), format func(T) string) T {
+	tok, ok := a.leaf(key)
 	if !ok {
-		return "", false, nil
+		return def
 	}
-	if len(v.Args) != 0 {
-		return "", false, fmt.Errorf("exp: %s: parameter %s must be a literal, not %s", a.expr.Name, key, v)
+	v, err := parse(tok)
+	if err != nil {
+		a.fail(fmt.Errorf("exp: %s: parameter %s=%q is not %s", a.expr.Name, key, tok, kind))
+		return def
 	}
-	return v.Name, true, nil
+	if v != def {
+		a.keep(key, Expr{Name: format(v)})
+	}
+	return v
 }
 
 // Int returns key's integer value, or def when absent.
-func (a *argSet) Int(key string, def int) (int, error) {
-	tok, ok, err := a.leaf(key)
-	if err != nil || !ok {
-		return def, err
-	}
-	n, err := strconv.Atoi(tok)
-	if err != nil {
-		return 0, fmt.Errorf("exp: %s: parameter %s=%q is not an integer", a.expr.Name, key, tok)
-	}
-	return n, nil
+func (a *argSet) Int(key string, def int) int {
+	return scalar(a, key, def, "an integer", strconv.Atoi, strconv.Itoa)
 }
 
 // Uint64 returns key's unsigned value, or def when absent.
-func (a *argSet) Uint64(key string, def uint64) (uint64, error) {
-	tok, ok, err := a.leaf(key)
-	if err != nil || !ok {
-		return def, err
-	}
-	n, err := strconv.ParseUint(tok, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("exp: %s: parameter %s=%q is not an unsigned integer", a.expr.Name, key, tok)
-	}
-	return n, nil
+func (a *argSet) Uint64(key string, def uint64) uint64 {
+	return scalar(a, key, def, "an unsigned integer",
+		func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) },
+		func(n uint64) string { return strconv.FormatUint(n, 10) })
 }
 
 // Bool returns key's boolean value, or def when absent.
-func (a *argSet) Bool(key string, def bool) (bool, error) {
-	tok, ok, err := a.leaf(key)
-	if err != nil || !ok {
-		return def, err
-	}
-	b, err := strconv.ParseBool(tok)
-	if err != nil {
-		return false, fmt.Errorf("exp: %s: parameter %s=%q is not a boolean", a.expr.Name, key, tok)
-	}
-	return b, nil
+func (a *argSet) Bool(key string, def bool) bool {
+	return scalar(a, key, def, "a boolean", strconv.ParseBool, strconv.FormatBool)
 }
 
-// Sub returns key's value expression, or the parsed default when
-// absent. Defaults are package literals, so parse errors panic.
-func (a *argSet) Sub(key, def string) Expr {
-	if v, ok := a.value(key); ok {
-		return v
+// Enum returns the index in tokens of key's token; tokens[0] is the
+// default, returned when key is absent.
+func (a *argSet) Enum(key string, tokens ...string) int {
+	tok, ok := a.leaf(key)
+	if !ok {
+		return 0
 	}
-	e, err := ParseExpr(def)
-	if err != nil {
-		panic("exp: bad built-in default expression " + def + ": " + err.Error())
-	}
-	return e
-}
-
-// finish reports the first argument no factory consumed.
-func (a *argSet) finish() error {
-	for _, arg := range a.expr.Args {
-		if !a.used[arg.Key] {
-			return fmt.Errorf("exp: %s: unknown parameter %q", a.expr.Name, arg.Key)
+	for i, t := range tokens {
+		if t == tok {
+			if i != 0 {
+				a.keep(key, Expr{Name: tok})
+			}
+			return i
 		}
 	}
-	return nil
+	a.fail(fmt.Errorf("exp: %s: %s=%q is not one of %s", a.expr.Name, key, tok, strings.Join(tokens, ", ")))
+	return 0
 }
 
-// noArgs rejects any arguments on an argument-less component.
-func noArgs(e Expr) error {
-	if len(e.Args) != 0 {
-		return fmt.Errorf("exp: %s takes no parameters", e.Name)
+// component builds key's sub-component with build, from def when key
+// is absent, and keeps its canonical expression. Defaults are package
+// literals, so a malformed one panics.
+func component[F any](a *argSet, key, def string, build func(Expr) (F, Expr, error)) F {
+	e, ok := a.value(key)
+	if !ok {
+		var err error
+		if e, err = ParseExpr(def); err != nil {
+			panic("exp: bad built-in default expression " + def + ": " + err.Error())
+		}
 	}
-	return nil
+	mk, canon, err := build(e)
+	if err != nil {
+		a.fail(err)
+	}
+	a.keep(key, canon)
+	return mk
+}
+
+// finish returns the canonical expression, or the first malformed
+// value, or the first argument no accessor read.
+func (a *argSet) finish() (Expr, error) {
+	if a.err != nil {
+		return Expr{}, a.err
+	}
+	for _, arg := range a.expr.Args {
+		if !a.used[arg.Key] {
+			return Expr{}, fmt.Errorf("exp: %s: unknown parameter %q", a.expr.Name, arg.Key)
+		}
+	}
+	return a.canon, nil
+}
+
+// plain accepts an argument-less component: its canonical expression
+// is its bare name.
+func plain[F any](e Expr, mk F) (F, Expr, error) {
+	if len(e.Args) != 0 {
+		var none F
+		return none, Expr{}, fmt.Errorf("exp: %s takes no parameters", e.Name)
+	}
+	return mk, Expr{Name: e.Name}, nil
 }

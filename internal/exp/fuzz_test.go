@@ -40,7 +40,8 @@ func FuzzParseSpec(f *testing.F) {
 // builder's knob validation — against panics. The seed corpus walks
 // the policy zoo's knob space: table counts, signature and PSEL widths,
 // training modes, nested duel sides. Anything the resolver accepts must
-// have a canonical rendering that resolves again.
+// have a canonical rendering that resolves again, to itself. The seeds
+// end with reordered and default-written spellings of presets.
 func FuzzParsePolicyExpr(f *testing.F) {
 	f.Add("ship")
 	f.Add("ship(sigbits=14,max=7,init=0,samples=64,train=sampled)")
@@ -59,6 +60,12 @@ func FuzzParsePolicyExpr(f *testing.F) {
 	f.Add("duel(psel=0)")
 	f.Add("duel(a=duel(a=lru,b=nru),b=ship)")
 	f.Add("Improved DBP")
+	f.Add("dbrb(pred=sampler,base=lru)")
+	f.Add("dbrb(base=lru,pred=sampler(sets=32,threshold=8))")
+	f.Add("dbrb(pred=sampler(sets=064,sampling=true))")
+	f.Add("random(seed=1)")
+	f.Add("duel(force=none,psel=10,b=dbrb(pred=reuse),a=lru)")
+	f.Add("ship(train=all,samples=64,sigbits=14)")
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := ResolvePolicy(s)
 		if err != nil {

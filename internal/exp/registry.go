@@ -13,15 +13,18 @@ import (
 )
 
 // Policy is a resolved LLC management technique: a display name, the
-// canonical expression it was built from, and a factory producing fresh
-// instances (policies hold mutable state and must never be shared
+// canonical expression of the configuration its factory builds, and
+// that factory (policies hold mutable state and must never be shared
 // across simulations).
 type Policy struct {
 	// Name is the display name: the preset's paper abbreviation
 	// ("Sampler", "Random CDBP") or, for a raw expression, its
-	// canonical spelling.
+	// canonical expression.
 	Name string
-	// Expr is the canonical expression the factory was built from.
+	// Expr is the canonical expression of the built configuration (see
+	// argSet): every spelling of one configuration has the same Expr,
+	// and two configurations never share one. Figure cell keys, sdbpd
+	// content addresses and the manifest's spec echo all read it.
 	Expr string
 	// Make builds a fresh policy for a cache shared by threads threads.
 	Make func(threads int) cache.Policy
@@ -31,21 +34,32 @@ type Policy struct {
 // AblationVariantNames, plus the historical CLI aliases like
 // "RandomSampler") or a policy expression like
 // "dbrb(base=random,pred=sampler(threshold=6))" into a validated
-// factory. All validation happens here; calling Make never fails.
+// factory. All validation happens here; calling Make never fails. The
+// result's Expr is the canonical expression its factory rendered, so
+// every spelling of one configuration resolves to one identity:
+// "dbrb(pred=sampler,base=lru)" and "Sampler" both carry
+// "dbrb(base=lru,pred=sampler)". Presets are resolved once, when the
+// package initializes.
 func ResolvePolicy(nameOrExpr string) (Policy, error) {
-	if p, ok := presetByName(nameOrExpr); ok {
+	if p, ok := presets[nameOrExpr]; ok {
 		return p, nil
 	}
-	e, err := ParseExpr(nameOrExpr)
+	return resolveExpr(nameOrExpr)
+}
+
+// resolveExpr parses and builds a policy expression, named by its
+// canonical expression.
+func resolveExpr(s string) (Policy, error) {
+	e, err := ParseExpr(s)
 	if err != nil {
 		return Policy{}, err
 	}
-	mk, err := buildPolicy(e)
+	mk, canon, err := buildPolicy(e)
 	if err != nil {
 		return Policy{}, err
 	}
-	canon := e.String()
-	return Policy{Name: canon, Expr: canon, Make: mk}, nil
+	c := canon.String()
+	return Policy{Name: c, Expr: c, Make: mk}, nil
 }
 
 // MustResolvePolicy is ResolvePolicy for package-literal names and
@@ -56,16 +70,6 @@ func MustResolvePolicy(nameOrExpr string) Policy {
 		panic(err)
 	}
 	return p
-}
-
-// NewPolicy resolves nameOrExpr and builds one instance for a cache
-// shared by threads threads.
-func NewPolicy(nameOrExpr string, threads int) (cache.Policy, error) {
-	p, err := ResolvePolicy(nameOrExpr)
-	if err != nil {
-		return nil, err
-	}
-	return p.Make(threads), nil
 }
 
 // PolicyNames lists the registered policy expression names, sorted.
@@ -79,204 +83,106 @@ func PredictorNames() []string {
 	return []string{"aip", "bursts", "counting", "never", "reftrace", "reuse", "sampler", "samplingcounting", "skewed", "timebased"}
 }
 
-// buildPolicy validates a policy expression and returns its factory.
-func buildPolicy(e Expr) (func(threads int) cache.Policy, error) {
+// buildPolicy validates a policy expression and returns its factory and
+// its canonical expression; on error, neither is meaningful.
+func buildPolicy(e Expr) (func(threads int) cache.Policy, Expr, error) {
 	switch e.Name {
 	case "lru":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func(int) cache.Policy { return policy.NewLRU() }, nil
+		return plain(e, func(int) cache.Policy { return policy.NewLRU() })
 	case "plru":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func(int) cache.Policy { return policy.NewPLRU() }, nil
+		return plain(e, func(int) cache.Policy { return policy.NewPLRU() })
 	case "nru":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func(int) cache.Policy { return policy.NewNRU() }, nil
+		return plain(e, func(int) cache.Policy { return policy.NewNRU() })
 	case "srrip":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func(int) cache.Policy { return policy.NewSRRIP() }, nil
+		return plain(e, func(int) cache.Policy { return policy.NewSRRIP() })
 	case "random":
 		args := newArgs(e)
-		seed, err := args.Uint64("seed", RandomSeed)
-		if err != nil {
-			return nil, err
-		}
-		if err := args.finish(); err != nil {
-			return nil, err
-		}
-		return func(int) cache.Policy { return policy.NewRandom(seed) }, nil
+		seed := args.Uint64("seed", RandomSeed)
+		canon, err := args.finish()
+		return func(int) cache.Policy { return policy.NewRandom(seed) }, canon, err
 	case "dip":
 		args := newArgs(e)
-		seed, err := args.Uint64("seed", DIPSeed)
-		if err != nil {
-			return nil, err
-		}
-		if err := args.finish(); err != nil {
-			return nil, err
-		}
-		return func(int) cache.Policy { return policy.NewDIP(seed) }, nil
+		seed := args.Uint64("seed", DIPSeed)
+		canon, err := args.finish()
+		return func(int) cache.Policy { return policy.NewDIP(seed) }, canon, err
 	case "tadip":
 		args := newArgs(e)
-		seed, err := args.Uint64("seed", TADIPSeed)
-		if err != nil {
-			return nil, err
-		}
-		if err := args.finish(); err != nil {
-			return nil, err
-		}
-		return func(threads int) cache.Policy { return policy.NewTADIP(threads, seed) }, nil
+		seed := args.Uint64("seed", TADIPSeed)
+		canon, err := args.finish()
+		return func(threads int) cache.Policy { return policy.NewTADIP(threads, seed) }, canon, err
 	case "rrip":
 		args := newArgs(e)
-		seed, err := args.Uint64("seed", DRRIPSeed)
-		if err != nil {
-			return nil, err
-		}
-		if err := args.finish(); err != nil {
-			return nil, err
-		}
-		return func(threads int) cache.Policy { return policy.NewDRRIP(threads, seed) }, nil
+		seed := args.Uint64("seed", DRRIPSeed)
+		canon, err := args.finish()
+		return func(threads int) cache.Policy { return policy.NewDRRIP(threads, seed) }, canon, err
 	case "ship":
-		cfg, err := shipConfig(e)
-		if err != nil {
-			return nil, err
-		}
-		return func(int) cache.Policy { return ship.New(cfg) }, nil
+		cfg, canon, err := shipConfig(e)
+		return func(int) cache.Policy { return ship.New(cfg) }, canon, err
 	case "duel":
 		args := newArgs(e)
-		mkA, err := buildPolicy(args.Sub("a", "lru"))
-		if err != nil {
-			return nil, err
+		mkA := component(args, "a", "lru", buildPolicy)
+		mkB := component(args, "b", "dbrb(base=lru,pred=reuse)", buildPolicy)
+		leaders := args.Int("leaders", 32)
+		psel := args.Int("psel", 10)
+		force := []policy.Force{policy.ForceNone, policy.ForceA, policy.ForceB}[args.Enum("force", "none", "a", "b")]
+		canon, err := args.finish()
+		if err == nil && leaders < 1 {
+			err = fmt.Errorf("exp: duel: need at least 1 leader set per side (got %d)", leaders)
 		}
-		mkB, err := buildPolicy(args.Sub("b", "dbrb(base=lru,pred=reuse)"))
-		if err != nil {
-			return nil, err
-		}
-		leaders, err := args.Int("leaders", 32)
-		if err != nil {
-			return nil, err
-		}
-		psel, err := args.Int("psel", 10)
-		if err != nil {
-			return nil, err
-		}
-		forceTok, _, err := args.leaf("force")
-		if err != nil {
-			return nil, err
-		}
-		if err := args.finish(); err != nil {
-			return nil, err
-		}
-		force := policy.ForceNone
-		switch forceTok {
-		case "", "none":
-		case "a":
-			force = policy.ForceA
-		case "b":
-			force = policy.ForceB
-		default:
-			return nil, fmt.Errorf("exp: duel: force=%q is not one of none, a, b", forceTok)
-		}
-		if leaders < 1 {
-			return nil, fmt.Errorf("exp: duel: need at least 1 leader set per side (got %d)", leaders)
-		}
-		if psel < 1 || psel > 30 {
-			return nil, fmt.Errorf("exp: duel: PSEL width %d outside [1, 30] bits", psel)
+		if err == nil && (psel < 1 || psel > 30) {
+			err = fmt.Errorf("exp: duel: PSEL width %d outside [1, 30] bits", psel)
 		}
 		return func(threads int) cache.Policy {
 			return policy.NewAB(mkA(threads), mkB(threads), leaders, psel, force)
-		}, nil
+		}, canon, err
 	case "dbrb", "dueling":
 		args := newArgs(e)
-		mkBase, err := buildPolicy(args.Sub("base", "lru"))
-		if err != nil {
-			return nil, err
-		}
-		mkPred, err := buildPredictor(args.Sub("pred", "sampler"))
-		if err != nil {
-			return nil, err
-		}
-		if err := args.finish(); err != nil {
-			return nil, err
-		}
+		mkBase := component(args, "base", "lru", buildPolicy)
+		mkPred := component(args, "pred", "sampler", buildPredictor)
+		canon, err := args.finish()
 		if e.Name == "dueling" {
 			return func(threads int) cache.Policy {
 				return dbrb.NewDueling(mkBase(threads), mkPred())
-			}, nil
+			}, canon, err
 		}
 		return func(threads int) cache.Policy {
 			return dbrb.New(mkBase(threads), mkPred())
-		}, nil
+		}, canon, err
 	}
-	return nil, fmt.Errorf("exp: unknown policy %q; registered policies: %s",
+	return nil, Expr{}, fmt.Errorf("exp: unknown policy %q; registered policies: %s",
 		e.Name, strings.Join(PolicyNames(), ", "))
 }
 
 // buildPredictor validates a predictor expression and returns its
-// factory.
-func buildPredictor(e Expr) (func() predictor.Predictor, error) {
+// factory and its canonical expression; on error, neither is
+// meaningful.
+func buildPredictor(e Expr) (func() predictor.Predictor, Expr, error) {
 	switch e.Name {
 	case "reftrace":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewRefTrace() }, nil
+		return plain(e, func() predictor.Predictor { return predictor.NewRefTrace() })
 	case "counting":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewCounting() }, nil
+		return plain(e, func() predictor.Predictor { return predictor.NewCounting() })
 	case "bursts":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewBursts() }, nil
+		return plain(e, func() predictor.Predictor { return predictor.NewBursts() })
 	case "aip":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewAIP() }, nil
+		return plain(e, func() predictor.Predictor { return predictor.NewAIP() })
 	case "samplingcounting":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewSamplingCounting() }, nil
+		return plain(e, func() predictor.Predictor { return predictor.NewSamplingCounting() })
 	case "timebased":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewTimeBased() }, nil
+		return plain(e, func() predictor.Predictor { return predictor.NewTimeBased() })
 	case "sampler":
-		cfg, err := samplerConfig(e)
-		if err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewSampler(cfg) }, nil
+		cfg, canon, err := samplerConfig(e)
+		return func() predictor.Predictor { return predictor.NewSampler(cfg) }, canon, err
 	case "skewed":
-		cfg, err := skewedConfig(e)
-		if err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewSkewed(cfg) }, nil
+		cfg, canon, err := skewedConfig(e)
+		return func() predictor.Predictor { return predictor.NewSkewed(cfg) }, canon, err
 	case "reuse":
-		cfg, err := reuseConfig(e)
-		if err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewReuse(cfg) }, nil
+		cfg, canon, err := reuseConfig(e)
+		return func() predictor.Predictor { return predictor.NewReuse(cfg) }, canon, err
 	case "never":
-		if err := noArgs(e); err != nil {
-			return nil, err
-		}
-		return func() predictor.Predictor { return predictor.NewNever() }, nil
+		return plain(e, func() predictor.Predictor { return predictor.NewNever() })
 	}
-	return nil, fmt.Errorf("exp: unknown predictor %q; registered predictors: %s",
+	return nil, Expr{}, fmt.Errorf("exp: unknown predictor %q; registered predictors: %s",
 		e.Name, strings.Join(PredictorNames(), ", "))
 }
 
@@ -284,188 +190,109 @@ func buildPredictor(e Expr) (func() predictor.Predictor, error) {
 // paper's defaults and validates the result (NewSampler panics on
 // geometry errors; user-supplied expressions must fail with an error
 // instead).
-func samplerConfig(e Expr) (predictor.SamplerConfig, error) {
+func samplerConfig(e Expr) (predictor.SamplerConfig, Expr, error) {
 	cfg := predictor.DefaultSamplerConfig()
 	args := newArgs(e)
-	var err error
-	if cfg.UseSampler, err = args.Bool("sampling", cfg.UseSampler); err != nil {
-		return cfg, err
-	}
-	if cfg.SamplerSets, err = args.Int("sets", cfg.SamplerSets); err != nil {
-		return cfg, err
-	}
-	if cfg.SamplerAssoc, err = args.Int("assoc", cfg.SamplerAssoc); err != nil {
-		return cfg, err
-	}
-	if cfg.Tables, err = args.Int("tables", cfg.Tables); err != nil {
-		return cfg, err
-	}
-	if cfg.TableEntries, err = args.Int("entries", cfg.TableEntries); err != nil {
-		return cfg, err
-	}
-	if cfg.Threshold, err = args.Int("threshold", cfg.Threshold); err != nil {
-		return cfg, err
-	}
-	if err := args.finish(); err != nil {
-		return cfg, err
+	cfg.UseSampler = args.Bool("sampling", cfg.UseSampler)
+	cfg.SamplerSets = args.Int("sets", cfg.SamplerSets)
+	cfg.SamplerAssoc = args.Int("assoc", cfg.SamplerAssoc)
+	cfg.Tables = args.Int("tables", cfg.Tables)
+	cfg.TableEntries = args.Int("entries", cfg.TableEntries)
+	cfg.Threshold = args.Int("threshold", cfg.Threshold)
+	canon, err := args.finish()
+	if err != nil {
+		return cfg, canon, err
 	}
 	if cfg.Tables < 1 || cfg.TableEntries < 2 || !mem.IsPow2(cfg.TableEntries) {
-		return cfg, fmt.Errorf("exp: sampler: invalid tables %d x %d entries (need tables >= 1, entries a power of two >= 2)",
+		return cfg, canon, fmt.Errorf("exp: sampler: invalid tables %d x %d entries (need tables >= 1, entries a power of two >= 2)",
 			cfg.Tables, cfg.TableEntries)
 	}
 	if cfg.UseSampler && (cfg.SamplerSets < 1 || cfg.SamplerAssoc < 1 || !mem.IsPow2(cfg.SamplerSets)) {
-		return cfg, fmt.Errorf("exp: sampler: invalid geometry %d sets x %d ways (need assoc >= 1, sets a power of two >= 1)",
+		return cfg, canon, fmt.Errorf("exp: sampler: invalid geometry %d sets x %d ways (need assoc >= 1, sets a power of two >= 1)",
 			cfg.SamplerSets, cfg.SamplerAssoc)
 	}
-	return cfg, nil
+	return cfg, canon, nil
 }
 
 // skewedConfig applies a skewed expression's parameters over the
 // defaults and validates the result (NewSkewed panics on geometry
 // errors; user-supplied expressions must fail with an error instead).
-func skewedConfig(e Expr) (predictor.SkewedConfig, error) {
+func skewedConfig(e Expr) (predictor.SkewedConfig, Expr, error) {
 	cfg := predictor.DefaultSkewedConfig()
 	args := newArgs(e)
-	var err error
-	if cfg.SamplerSets, err = args.Int("sets", cfg.SamplerSets); err != nil {
-		return cfg, err
-	}
-	if cfg.SamplerAssoc, err = args.Int("assoc", cfg.SamplerAssoc); err != nil {
-		return cfg, err
-	}
-	if cfg.Tables, err = args.Int("tables", cfg.Tables); err != nil {
-		return cfg, err
-	}
-	if cfg.TableEntries, err = args.Int("entries", cfg.TableEntries); err != nil {
-		return cfg, err
-	}
-	if cfg.TagBits, err = args.Int("tags", cfg.TagBits); err != nil {
-		return cfg, err
-	}
-	if cfg.Threshold, err = args.Int("threshold", cfg.Threshold); err != nil {
-		return cfg, err
-	}
-	if err := args.finish(); err != nil {
-		return cfg, err
+	cfg.SamplerSets = args.Int("sets", cfg.SamplerSets)
+	cfg.SamplerAssoc = args.Int("assoc", cfg.SamplerAssoc)
+	cfg.Tables = args.Int("tables", cfg.Tables)
+	cfg.TableEntries = args.Int("entries", cfg.TableEntries)
+	cfg.TagBits = args.Int("tags", cfg.TagBits)
+	cfg.Threshold = args.Int("threshold", cfg.Threshold)
+	canon, err := args.finish()
+	if err != nil {
+		return cfg, canon, err
 	}
 	if cfg.Tables < 1 || cfg.TableEntries < 2 || !mem.IsPow2(cfg.TableEntries) {
-		return cfg, fmt.Errorf("exp: skewed: invalid tables %d x %d entries (need tables >= 1, entries a power of two >= 2)",
+		return cfg, canon, fmt.Errorf("exp: skewed: invalid tables %d x %d entries (need tables >= 1, entries a power of two >= 2)",
 			cfg.Tables, cfg.TableEntries)
 	}
 	if cfg.TagBits < 1 || cfg.TagBits > 15 {
-		return cfg, fmt.Errorf("exp: skewed: tag width %d outside [1, 15] bits", cfg.TagBits)
+		return cfg, canon, fmt.Errorf("exp: skewed: tag width %d outside [1, 15] bits", cfg.TagBits)
 	}
 	if cfg.SamplerSets < 1 || cfg.SamplerAssoc < 1 || !mem.IsPow2(cfg.SamplerSets) {
-		return cfg, fmt.Errorf("exp: skewed: invalid sampler geometry %d sets x %d ways (need assoc >= 1, sets a power of two >= 1)",
+		return cfg, canon, fmt.Errorf("exp: skewed: invalid sampler geometry %d sets x %d ways (need assoc >= 1, sets a power of two >= 1)",
 			cfg.SamplerSets, cfg.SamplerAssoc)
 	}
-	return cfg, nil
+	return cfg, canon, nil
 }
 
 // reuseConfig applies a reuse expression's parameters over the defaults
 // and validates the result.
-func reuseConfig(e Expr) (predictor.ReuseConfig, error) {
+func reuseConfig(e Expr) (predictor.ReuseConfig, Expr, error) {
 	cfg := predictor.DefaultReuseConfig()
 	args := newArgs(e)
-	var err error
-	if cfg.Tables, err = args.Int("tables", cfg.Tables); err != nil {
-		return cfg, err
-	}
-	if cfg.TableEntries, err = args.Int("entries", cfg.TableEntries); err != nil {
-		return cfg, err
-	}
-	if cfg.Threshold, err = args.Int("threshold", cfg.Threshold); err != nil {
-		return cfg, err
-	}
-	if err := args.finish(); err != nil {
-		return cfg, err
+	cfg.Tables = args.Int("tables", cfg.Tables)
+	cfg.TableEntries = args.Int("entries", cfg.TableEntries)
+	cfg.Threshold = args.Int("threshold", cfg.Threshold)
+	canon, err := args.finish()
+	if err != nil {
+		return cfg, canon, err
 	}
 	if cfg.Tables < 1 || cfg.TableEntries < 2 || !mem.IsPow2(cfg.TableEntries) {
-		return cfg, fmt.Errorf("exp: reuse: invalid tables %d x %d entries (need tables >= 1, entries a power of two >= 2)",
+		return cfg, canon, fmt.Errorf("exp: reuse: invalid tables %d x %d entries (need tables >= 1, entries a power of two >= 2)",
 			cfg.Tables, cfg.TableEntries)
 	}
 	if cfg.Threshold < 1 || cfg.Threshold > 3*cfg.Tables {
-		return cfg, fmt.Errorf("exp: reuse: threshold %d outside [1, %d]", cfg.Threshold, 3*cfg.Tables)
+		return cfg, canon, fmt.Errorf("exp: reuse: threshold %d outside [1, %d]", cfg.Threshold, 3*cfg.Tables)
 	}
-	return cfg, nil
+	return cfg, canon, nil
 }
 
 // shipConfig applies a ship expression's parameters over the defaults
 // and validates the result.
-func shipConfig(e Expr) (ship.Config, error) {
+func shipConfig(e Expr) (ship.Config, Expr, error) {
 	cfg := ship.DefaultConfig()
 	args := newArgs(e)
-	var err error
-	if cfg.SigBits, err = args.Int("sigbits", cfg.SigBits); err != nil {
-		return cfg, err
-	}
-	if cfg.CounterMax, err = args.Int("max", cfg.CounterMax); err != nil {
-		return cfg, err
-	}
-	if cfg.Init, err = args.Int("init", cfg.Init); err != nil {
-		return cfg, err
-	}
-	if cfg.SampledSets, err = args.Int("samples", cfg.SampledSets); err != nil {
-		return cfg, err
-	}
-	trainTok, _, err := args.leaf("train")
+	cfg.SigBits = args.Int("sigbits", cfg.SigBits)
+	cfg.CounterMax = args.Int("max", cfg.CounterMax)
+	cfg.Init = args.Int("init", cfg.Init)
+	cfg.SampledSets = args.Int("samples", cfg.SampledSets)
+	cfg.Train = []ship.TrainMode{ship.TrainAll, ship.TrainSampled, ship.TrainOff}[args.Enum("train", "all", "sampled", "off")]
+	canon, err := args.finish()
 	if err != nil {
-		return cfg, err
-	}
-	switch trainTok {
-	case "", "all":
-		cfg.Train = ship.TrainAll
-	case "sampled":
-		cfg.Train = ship.TrainSampled
-	case "off":
-		cfg.Train = ship.TrainOff
-	default:
-		return cfg, fmt.Errorf("exp: ship: train=%q is not one of sampled, all, off", trainTok)
-	}
-	if err := args.finish(); err != nil {
-		return cfg, err
+		return cfg, canon, err
 	}
 	if cfg.SigBits < 1 || cfg.SigBits > 24 {
-		return cfg, fmt.Errorf("exp: ship: signature width %d outside [1, 24] bits", cfg.SigBits)
+		return cfg, canon, fmt.Errorf("exp: ship: signature width %d outside [1, 24] bits", cfg.SigBits)
 	}
 	if cfg.CounterMax < 1 || cfg.CounterMax > 255 {
-		return cfg, fmt.Errorf("exp: ship: counter max %d outside [1, 255]", cfg.CounterMax)
+		return cfg, canon, fmt.Errorf("exp: ship: counter max %d outside [1, 255]", cfg.CounterMax)
 	}
 	if cfg.Init < 0 || cfg.Init > cfg.CounterMax {
-		return cfg, fmt.Errorf("exp: ship: initial counter %d outside [0, %d]", cfg.Init, cfg.CounterMax)
+		return cfg, canon, fmt.Errorf("exp: ship: initial counter %d outside [0, %d]", cfg.Init, cfg.CounterMax)
 	}
 	if cfg.SampledSets < 1 || !mem.IsPow2(cfg.SampledSets) {
-		return cfg, fmt.Errorf("exp: ship: sampled-set count %d must be a power of two >= 1", cfg.SampledSets)
+		return cfg, canon, fmt.Errorf("exp: ship: sampled-set count %d must be a power of two >= 1", cfg.SampledSets)
 	}
-	return cfg, nil
-}
-
-// SamplerExpr renders a sampler configuration as the canonical
-// expression, emitting only parameters that differ from the paper's
-// DefaultSamplerConfig (so the default renders as the bare "sampler").
-// Sampler geometry is omitted when sampling=false (it is unused there).
-func SamplerExpr(cfg predictor.SamplerConfig) string {
-	def := predictor.DefaultSamplerConfig()
-	var args []string
-	add := func(key string, v, d int) {
-		if v != d {
-			args = append(args, fmt.Sprintf("%s=%d", key, v))
-		}
-	}
-	if cfg.UseSampler != def.UseSampler {
-		args = append(args, fmt.Sprintf("sampling=%v", cfg.UseSampler))
-	}
-	if cfg.UseSampler {
-		add("sets", cfg.SamplerSets, def.SamplerSets)
-		add("assoc", cfg.SamplerAssoc, def.SamplerAssoc)
-	}
-	add("tables", cfg.Tables, def.Tables)
-	add("entries", cfg.TableEntries, def.TableEntries)
-	add("threshold", cfg.Threshold, def.Threshold)
-	if len(args) == 0 {
-		return "sampler"
-	}
-	return "sampler(" + strings.Join(args, ",") + ")"
+	return cfg, canon, nil
 }
 
 // NewPredictor resolves a predictor expression ("sampler(threshold=6)",
@@ -475,7 +302,7 @@ func NewPredictor(expr string) (predictor.Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk, err := buildPredictor(e)
+	mk, _, err := buildPredictor(e)
 	if err != nil {
 		return nil, err
 	}
@@ -496,30 +323,14 @@ func MustPredictor(expr string) predictor.Predictor {
 // dead-block policy's own interface (the victim-cache study consumes
 // its predictions directly).
 func DBRBFactory(nameOrExpr string) (func() *dbrb.Policy, error) {
-	exprStr := nameOrExpr
-	if p, ok := presetByName(nameOrExpr); ok {
-		exprStr = p.Expr
-	}
-	e, err := ParseExpr(exprStr)
+	p, err := ResolvePolicy(nameOrExpr)
 	if err != nil {
 		return nil, err
 	}
-	if e.Name != "dbrb" {
+	if _, ok := p.Make(1).(*dbrb.Policy); !ok {
 		return nil, fmt.Errorf("exp: %q is not a dbrb policy", nameOrExpr)
 	}
-	args := newArgs(e)
-	mkBase, err := buildPolicy(args.Sub("base", "lru"))
-	if err != nil {
-		return nil, err
-	}
-	mkPred, err := buildPredictor(args.Sub("pred", "sampler"))
-	if err != nil {
-		return nil, err
-	}
-	if err := args.finish(); err != nil {
-		return nil, err
-	}
-	return func() *dbrb.Policy { return dbrb.New(mkBase(1), mkPred()) }, nil
+	return func() *dbrb.Policy { return p.Make(1).(*dbrb.Policy) }, nil
 }
 
 // MustDBRBFactory is DBRBFactory for package-literal expressions.
@@ -543,19 +354,10 @@ func Geometry(expr string) (cache.Config, error) {
 		return cache.Config{}, fmt.Errorf("exp: unknown geometry %q (want llc(mb=N) or llc(kb=N))", e.Name)
 	}
 	args := newArgs(e)
-	mb, err := args.Int("mb", 0)
-	if err != nil {
-		return cache.Config{}, err
-	}
-	kb, err := args.Int("kb", 0)
-	if err != nil {
-		return cache.Config{}, err
-	}
-	ways, err := args.Int("ways", 16)
-	if err != nil {
-		return cache.Config{}, err
-	}
-	if err := args.finish(); err != nil {
+	mb := args.Int("mb", 0)
+	kb := args.Int("kb", 0)
+	ways := args.Int("ways", 16)
+	if _, err := args.finish(); err != nil {
 		return cache.Config{}, err
 	}
 	if (mb > 0) == (kb > 0) {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 
 	"sdbp/internal/cache"
@@ -46,10 +47,10 @@ func TestEveryPresetConstructs(t *testing.T) {
 // predictor expression name with its defaults.
 func TestEveryRegisteredNameConstructs(t *testing.T) {
 	for _, name := range PolicyNames() {
-		p, err := NewPolicy(name, 1)
+		p, err := ResolvePolicy(name)
 		if err != nil {
 			t.Errorf("policy %q: %v", name, err)
-		} else if p == nil {
+		} else if p.Make(1) == nil {
 			t.Errorf("policy %q: nil instance", name)
 		}
 	}
@@ -86,7 +87,7 @@ func TestExprCanonicalRoundTrip(t *testing.T) {
 			t.Fatalf("%q: %v", s, err)
 		}
 		if e.String() != s {
-			t.Errorf("canonical %q != input %q", e.String(), s)
+			t.Errorf("rendered %q != input %q", e.String(), s)
 		}
 		again, err := ParseExpr(e.String())
 		if err != nil || again.String() != e.String() {
@@ -95,30 +96,174 @@ func TestExprCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSamplerExprInvertsConfigs checks SamplerExpr against every
-// Figure 6 ablation configuration: parsing the rendered expression
-// recovers the same effective configuration.
-func TestSamplerExprInvertsConfigs(t *testing.T) {
-	for name, cfg := range predictor.AblationConfigs() {
-		expr := SamplerExpr(cfg)
-		e, err := ParseExpr(expr)
+// TestPresetExprs pins the canonical expression of every preset and
+// Figure 6 variant, in presentation order. Figure cell keys, sdbpd
+// content addresses and the repository benchmark's digests carry these
+// strings, so none may change.
+func TestPresetExprs(t *testing.T) {
+	want := []struct{ name, expr string }{
+		{"LRU", "lru"},
+		{"Random", "random"},
+		{"DIP", "dip"},
+		{"TADIP", "tadip"},
+		{"RRIP", "rrip"},
+		{"Sampler", "dbrb(base=lru,pred=sampler)"},
+		{"TDBP", "dbrb(base=lru,pred=reftrace)"},
+		{"CDBP", "dbrb(base=lru,pred=counting)"},
+		{"Random Sampler", "dbrb(base=random,pred=sampler)"},
+		{"Random CDBP", "dbrb(base=random,pred=counting)"},
+		{"PLRU", "plru"},
+		{"NRU", "nru"},
+		{"PLRU Sampler", "dbrb(base=plru,pred=sampler)"},
+		{"NRU Sampler", "dbrb(base=nru,pred=sampler)"},
+		{"Bursts", "dbrb(base=lru,pred=bursts)"},
+		{"AIP", "dbrb(base=lru,pred=aip)"},
+		{"SamplingCounting", "dbrb(base=lru,pred=samplingcounting)"},
+		{"TimeBased", "dbrb(base=lru,pred=timebased)"},
+		{"Dueling Sampler", "dueling(base=lru,pred=sampler)"},
+		{"SHiP", "ship"},
+		{"Skewed DBP", "dbrb(base=lru,pred=skewed)"},
+		{"Improved DBP", "duel(a=lru,b=dbrb(base=lru,pred=reuse))"},
+		{"DBRB alone", "dbrb(base=lru,pred=sampler(sampling=false,tables=1,entries=16384,threshold=3))"},
+		{"DBRB+3 tables", "dbrb(base=lru,pred=sampler(sampling=false))"},
+		{"DBRB+sampler", "dbrb(base=lru,pred=sampler(assoc=16,tables=1,entries=16384,threshold=3))"},
+		{"DBRB+sampler+3 tables", "dbrb(base=lru,pred=sampler(assoc=16))"},
+		{"DBRB+sampler+12-way", "dbrb(base=lru,pred=sampler(tables=1,entries=16384,threshold=3))"},
+		{"DBRB+sampler+3 tables+12-way", "dbrb(base=lru,pred=sampler)"},
+		{"DBRB+skewed tags", "dbrb(base=lru,pred=skewed)"},
+		{"DBRB+reuse counters", "dbrb(base=lru,pred=reuse)"},
+	}
+	names := append(PresetNames(), AblationVariantNames()...)
+	if len(PresetNames()) != 22 || len(names) != len(want) {
+		t.Fatalf("%d presets and %d variants, want 22 and 8", len(PresetNames()), len(names)-len(PresetNames()))
+	}
+	for i, w := range want {
+		p := MustResolvePolicy(w.name)
+		if names[i] != w.name || p.Name != w.name || p.Expr != w.expr {
+			t.Errorf("preset %d = %q named %q with expr %q, want %q with %q", i, names[i], p.Name, p.Expr, w.name, w.expr)
+		}
+	}
+}
+
+// TestAblationVariantConfigs checks the Figure 6 variants against the
+// paper's decomposition: the full variant is the paper's sampler, the
+// variant without it keeps one 16384-entry table, and the skewed
+// tables are each a quarter of that single table.
+func TestAblationVariantConfigs(t *testing.T) {
+	cfg := func(name string) predictor.SamplerConfig {
+		t.Helper()
+		s, ok := MustDBRBFactory(name)().Predictor().(*predictor.Sampler)
+		if !ok {
+			t.Fatalf("%s: predictor is not a sampler", name)
+		}
+		return s.Config()
+	}
+	if full := cfg("DBRB+sampler+3 tables+12-way"); full != predictor.DefaultSamplerConfig() {
+		t.Errorf("full variant = %+v, want the default config", full)
+	}
+	alone := cfg("DBRB alone")
+	if alone.UseSampler || alone.Tables != 1 || alone.TableEntries != 16384 {
+		t.Errorf("DBRB alone = %+v", alone)
+	}
+	if three := cfg("DBRB+3 tables"); three.Tables != 3 || three.TableEntries*4 != alone.TableEntries {
+		t.Errorf("DBRB+3 tables = %+v: skewed tables are not quarter-sized", three)
+	}
+}
+
+// TestCanonicalEquivalences: spellings of one configuration (arguments
+// reordered, defaults written out, values padded) resolve to one
+// canonical expression, which is also a raw expression's name.
+func TestCanonicalEquivalences(t *testing.T) {
+	for _, c := range []struct{ spelled, canon string }{
+		{"dbrb", "dbrb(base=lru,pred=sampler)"},
+		{"dbrb(pred=sampler,base=lru)", "dbrb(base=lru,pred=sampler)"},
+		{"dbrb(base=lru,pred=sampler(sets=32,threshold=8))", "dbrb(base=lru,pred=sampler)"},
+		{" dbrb ( pred = sampler ( sampling = true ) ) ", "dbrb(base=lru,pred=sampler)"},
+		{"random(seed=1)", "random"},
+		{"random(seed=007)", "random(seed=7)"},
+		{"dbrb(pred=sampler(sets=064))", "dbrb(base=lru,pred=sampler(sets=64))"},
+		{"dbrb(pred=sampler(sampling=F))", "dbrb(base=lru,pred=sampler(sampling=false))"},
+		{"duel(force=none)", "duel(a=lru,b=dbrb(base=lru,pred=reuse))"},
+		{"duel(psel=10,leaders=32,b=dbrb(pred=reuse),a=lru)", "duel(a=lru,b=dbrb(base=lru,pred=reuse))"},
+		{"ship(train=all,sigbits=14,max=7,init=0,samples=64)", "ship"},
+		{"dueling(pred=skewed(tags=8),base=lru)", "dueling(base=lru,pred=skewed)"},
+		{"dbrb(pred=reuse(threshold=8,tables=3))", "dbrb(base=lru,pred=reuse)"},
+		{"dip(seed=2)", "dip"},
+	} {
+		p, err := ResolvePolicy(c.spelled)
 		if err != nil {
-			t.Errorf("%s: %q: %v", name, expr, err)
+			t.Errorf("%q: %v", c.spelled, err)
 			continue
 		}
-		got, err := samplerConfig(e)
+		if p.Expr != c.canon || p.Name != c.canon {
+			t.Errorf("%q resolved to expr %q named %q, want %q", c.spelled, p.Expr, p.Name, c.canon)
+		}
+	}
+}
+
+// TestCanonicalKeepsEveryKnob is the injectivity table: each knob of
+// every factory, set to a value other than its default, keeps its
+// key=value in the canonical expression, so no two of these
+// configurations, nor any of them and its factory's default, share an
+// identity.
+func TestCanonicalKeepsEveryKnob(t *testing.T) {
+	variants := []struct{ expr, knob string }{
+		{"random(seed=7)", "seed=7"},
+		{"dip(seed=7)", "seed=7"},
+		{"tadip(seed=7)", "seed=7"},
+		{"rrip(seed=7)", "seed=7"},
+		{"ship(sigbits=13)", "sigbits=13"},
+		{"ship(max=6)", "max=6"},
+		{"ship(init=1)", "init=1"},
+		{"ship(samples=32)", "samples=32"},
+		{"ship(train=sampled)", "train=sampled"},
+		{"ship(train=off)", "train=off"},
+		{"duel(a=nru)", "a=nru"},
+		{"duel(b=lru)", "b=lru"},
+		{"duel(leaders=16)", "leaders=16"},
+		{"duel(psel=9)", "psel=9"},
+		{"duel(force=a)", "force=a"},
+		{"duel(force=b)", "force=b"},
+		{"dbrb(base=nru)", "base=nru"},
+		{"dbrb(pred=counting)", "pred=counting"},
+		{"dueling(base=nru)", "base=nru"},
+		{"dueling(pred=counting)", "pred=counting"},
+		{"dbrb(pred=sampler(sampling=false))", "sampling=false"},
+		{"dbrb(pred=sampler(sets=64))", "sets=64"},
+		{"dbrb(pred=sampler(assoc=16))", "assoc=16"},
+		{"dbrb(pred=sampler(tables=1))", "tables=1"},
+		{"dbrb(pred=sampler(entries=8192))", "entries=8192"},
+		{"dbrb(pred=sampler(threshold=7))", "threshold=7"},
+		{"dbrb(pred=skewed(sets=64))", "sets=64"},
+		{"dbrb(pred=skewed(assoc=16))", "assoc=16"},
+		{"dbrb(pred=skewed(tables=2))", "tables=2"},
+		{"dbrb(pred=skewed(entries=8192))", "entries=8192"},
+		{"dbrb(pred=skewed(tags=9))", "tags=9"},
+		{"dbrb(pred=skewed(threshold=7))", "threshold=7"},
+		{"dbrb(pred=reuse(tables=4))", "tables=4"},
+		{"dbrb(pred=reuse(entries=8192))", "entries=8192"},
+		{"dbrb(pred=reuse(threshold=5))", "threshold=5"},
+	}
+	seen := map[string]string{}
+	identity := func(spelled string) string {
+		t.Helper()
+		p, err := ResolvePolicy(spelled)
 		if err != nil {
-			t.Errorf("%s: %q: %v", name, expr, err)
-			continue
+			t.Fatalf("%q: %v", spelled, err)
 		}
-		if got.UseSampler != cfg.UseSampler || got.Tables != cfg.Tables ||
-			got.TableEntries != cfg.TableEntries || got.Threshold != cfg.Threshold {
-			t.Errorf("%s: %q round-tripped to %+v, want %+v", name, expr, got, cfg)
+		if prev, dup := seen[p.Expr]; dup {
+			t.Errorf("%q and %q share the identity %q", spelled, prev, p.Expr)
 		}
-		// Sampler geometry matters only when the sampler is on.
-		if cfg.UseSampler && (got.SamplerSets != cfg.SamplerSets || got.SamplerAssoc != cfg.SamplerAssoc) {
-			t.Errorf("%s: %q geometry %dx%d, want %dx%d", name, expr,
-				got.SamplerSets, got.SamplerAssoc, cfg.SamplerSets, cfg.SamplerAssoc)
+		seen[p.Expr] = spelled
+		return p.Expr
+	}
+	for _, bare := range []string{"random", "dip", "tadip", "rrip", "ship", "duel", "dbrb", "dueling",
+		"dbrb(pred=skewed)", "dbrb(pred=reuse)"} {
+		identity(bare)
+	}
+	for _, v := range variants {
+		if got := identity(v.expr); !strings.Contains(got, v.knob) {
+			t.Errorf("%q resolved to %q, which drops %s", v.expr, got, v.knob)
 		}
 	}
 }
@@ -198,6 +343,9 @@ func TestDBRBFactory(t *testing.T) {
 	}
 	if _, err := DBRBFactory("dueling(base=lru,pred=sampler)"); err == nil {
 		t.Error("DBRBFactory accepted a dueling root")
+	}
+	if _, err := DBRBFactory("dbrb(pred=bogus)"); err == nil {
+		t.Error("DBRBFactory accepted an unknown predictor")
 	}
 }
 

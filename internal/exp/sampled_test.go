@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sdbp/internal/sampling"
 )
 
 const sampledTestSpec = "policy=lru;workloads=456.hmmer;scale=0.02;sampled=true;sample_interval=5000;sample_clusters=4"
@@ -135,6 +137,38 @@ func TestRunBenchSampledAmortizesPilot(t *testing.T) {
 			t.Error("LRU measured nonzero predictions")
 			break
 		}
+	}
+}
+
+// TestSampledSpellingsShareOnePilot: a spec that leaves the sampling
+// knobs to their defaults and one that writes the defaults out resolve
+// to one effective configuration, so the second finds the first's
+// pilot resident instead of piloting the same plan again.
+func TestSampledSpellingsShareOnePilot(t *testing.T) {
+	const implicit = "policy=lru;workloads=456.hmmer;scale=0.02;sampled=true;sample_interval=5000"
+	var plans []*sampling.Plan
+	var canons []string
+	for _, text := range []string{implicit, implicit + ";sample_clusters=8;sample_warmup=4"} {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, plan, err := r.RunBenchSampled(r.Workloads[0])
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		plans = append(plans, plan)
+		canons = append(canons, r.String())
+	}
+	if canons[0] != canons[1] {
+		t.Errorf("canonical forms differ:\n%s\n%s", canons[0], canons[1])
+	}
+	if plans[0] != plans[1] {
+		t.Error("implicit and explicit sampling defaults got distinct pilots, want one")
 	}
 }
 

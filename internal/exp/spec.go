@@ -195,7 +195,8 @@ type Resolved struct {
 	LLCSet bool
 	// Sampled marks the spec as a sampled-simulation request;
 	// SampleInterval and SampleConfig are the effective selector knobs
-	// with defaults applied (see RunBenchSampled).
+	// with defaults applied and any negative warm-up as -1, so every
+	// spelling of one plan reads the same values (see RunBenchSampled).
 	Sampled        bool
 	SampleInterval uint64
 	SampleConfig   sampling.Config
@@ -275,9 +276,15 @@ func (s Spec) Resolve() (*Resolved, error) {
 		if r.SampleInterval == 0 {
 			r.SampleInterval = DefaultSampleInterval
 		}
-		r.SampleConfig = sampling.Config{
-			Clusters:   s.SampleClusters,
-			WarmupFrac: s.SampleWarmup,
+		r.SampleConfig = sampling.Config{Clusters: s.SampleClusters, WarmupFrac: s.SampleWarmup}
+		if r.SampleConfig.Clusters == 0 {
+			r.SampleConfig.Clusters = sampling.DefaultClusters
+		}
+		switch {
+		case r.SampleConfig.WarmupFrac < 0:
+			r.SampleConfig.WarmupFrac = -1
+		case r.SampleConfig.WarmupFrac == 0:
+			r.SampleConfig.WarmupFrac = sampling.DefaultWarmupFrac
 		}
 	}
 	return r, nil
@@ -307,49 +314,41 @@ func (r *Resolved) LLCFor(cores int) cache.Config {
 // String renders the fully-expanded canonical spec — policy as its
 // canonical expression, workloads and mixes listed by name, every
 // default made explicit. This is the form the run manifest echoes.
+// Fields no run reads stay out: a mixes-only spec has no cores (mixes
+// are quad-core), and its llc is the one the mixes run at.
 func (r *Resolved) String() string {
-	s := Spec{
-		Policy: r.Policy.Expr,
-		Cores:  r.Cores,
-		Scale:  r.Scale,
-	}
+	s := Spec{Policy: r.Policy.Expr, Scale: r.Scale}
 	for _, w := range r.Workloads {
 		s.Workloads = append(s.Workloads, w.Name)
 	}
 	for _, m := range r.Mixes {
 		s.Mixes = append(s.Mixes, m.Name)
 	}
-	// Workloads run at LLCFor(Cores) and mixes at LLCFor(4). When a spec
-	// with both sets no geometry and those defaults differ, no one llc
-	// names its runs, so the canonical form leaves it out and resolves
-	// back to both defaults.
-	both := len(r.Workloads) > 0 && len(r.Mixes) > 0
-	if !both || r.LLCFor(r.Cores) == r.LLCFor(4) {
-		llc := r.LLCFor(maxInt(r.Cores, boolToInt(len(r.Mixes) > 0)*4))
-		if llc.SizeBytes%(1<<20) == 0 {
-			s.LLC = fmt.Sprintf("llc(mb=%d,ways=%d)", llc.SizeBytes>>20, llc.Ways)
-		} else {
-			s.LLC = fmt.Sprintf("llc(kb=%d,ways=%d)", llc.SizeBytes>>10, llc.Ways)
+	llc := r.LLCFor(4)
+	if len(r.Workloads) > 0 {
+		s.Cores = r.Cores
+		// Workloads run at LLCFor(Cores) and mixes at LLCFor(4). When a
+		// spec with both sets no geometry and those defaults differ, no
+		// one llc names its runs, so the canonical form leaves it out
+		// and resolves back to both defaults.
+		if len(r.Mixes) == 0 {
+			llc = r.LLCFor(r.Cores)
+		} else if llc != r.LLCFor(r.Cores) {
+			llc = cache.Config{}
 		}
 	}
+	switch {
+	case llc.SizeBytes == 0:
+	case llc.SizeBytes%(1<<20) == 0:
+		s.LLC = fmt.Sprintf("llc(mb=%d,ways=%d)", llc.SizeBytes>>20, llc.Ways)
+	default:
+		s.LLC = fmt.Sprintf("llc(kb=%d,ways=%d)", llc.SizeBytes>>10, llc.Ways)
+	}
 	if r.Sampled {
-		// Sampling knobs appear with every default made explicit, so
-		// any spelling of the same sampled experiment shares one
-		// canonical form (and one content address).
 		s.Sampled = true
 		s.SampleInterval = r.SampleInterval
 		s.SampleClusters = r.SampleConfig.Clusters
-		if s.SampleClusters == 0 {
-			s.SampleClusters = sampling.DefaultClusters
-		}
-		switch {
-		case r.SampleConfig.WarmupFrac < 0:
-			s.SampleWarmup = -1
-		case r.SampleConfig.WarmupFrac == 0:
-			s.SampleWarmup = sampling.DefaultWarmupFrac
-		default:
-			s.SampleWarmup = r.SampleConfig.WarmupFrac
-		}
+		s.SampleWarmup = r.SampleConfig.WarmupFrac
 	}
 	return s.String()
 }
@@ -365,20 +364,6 @@ func (r *Resolved) RunBench(w workloads.Workload) sim.SingleResult {
 // policy via sim.RunMulticore.
 func (r *Resolved) RunMix(m workloads.Mix) (sim.MulticoreResult, error) {
 	return sim.RunMulticore(m, r.Policy.Make(4), sim.MulticoreOptions{Scale: r.Scale, LLC: r.LLCFor(4)})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // WorkloadNames returns the resolved workload names, and MixNames the

@@ -129,3 +129,28 @@ func TestResolvedStringExpandsDefaults(t *testing.T) {
 		t.Fatalf("echo %q does not re-resolve: %v", got, err)
 	}
 }
+
+// TestMixesOnlyStringNamesItsRuns: a mixes-only spec's canonical form
+// carries the geometry its mixes run at and no core count, which no
+// mix run reads. Workloads-only and mixed specs keep theirs.
+func TestMixesOnlyStringNamesItsRuns(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Policy: "LRU", Mixes: []string{"mix1"}, Cores: 8}, "policy=lru;mixes=mix1;llc=llc(mb=8,ways=16);scale=1"},
+		{Spec{Policy: "LRU", Mixes: []string{"mix1"}}, "policy=lru;mixes=mix1;llc=llc(mb=8,ways=16);scale=1"},
+		{Spec{Policy: "LRU", Mixes: []string{"mix1"}, Cores: 8, LLC: "llc(mb=16)"}, "policy=lru;mixes=mix1;llc=llc(mb=16,ways=16);scale=1"},
+		{Spec{Policy: "LRU", Workloads: []string{"456.hmmer"}, Cores: 8}, "policy=lru;workloads=456.hmmer;cores=8;llc=llc(mb=16,ways=16);scale=1"},
+		{Spec{Policy: "LRU", Workloads: []string{"456.hmmer"}, Mixes: []string{"mix1"}, Cores: 4}, "policy=lru;workloads=456.hmmer;mixes=mix1;cores=4;llc=llc(mb=8,ways=16);scale=1"},
+		{Spec{Policy: "LRU", Workloads: []string{"456.hmmer"}, Mixes: []string{"mix1"}}, "policy=lru;workloads=456.hmmer;mixes=mix1;cores=1;scale=1"},
+	} {
+		r, err := c.spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.String(); got != c.want {
+			t.Errorf("%+v renders %q, want %q", c.spec, got, c.want)
+		}
+	}
+}

@@ -9,6 +9,8 @@ import (
 	"sdbp/internal/obs"
 	"sdbp/internal/runner"
 	"sdbp/internal/sim"
+	"sdbp/internal/stats"
+	"sdbp/internal/workloads"
 )
 
 // TestEnvMemoRunsEachCellOnce pins the memo contract: a cell repeated
@@ -126,5 +128,27 @@ func TestAdhocReusesFigureCells(t *testing.T) {
 		if got.Instructions == 0 || got.MPKI != want.MPKI || got.IPC != want.IPC {
 			t.Errorf("ad-hoc %s cell %+v differs from the figure's %+v", col, got, want)
 		}
+	}
+}
+
+// TestSweepsReuseSamplerCells: the sweeps' sets-32 and thr-8 points are
+// the paper's Sampler spelled with a default knob written out, so they
+// carry Sampler's cell key. After Sampler ran on an Env, the two
+// sweeps at those points submit no job and read Sampler's results.
+func TestSweepsReuseSamplerCells(t *testing.T) {
+	reg := obs.NewRegistry()
+	env := &Env{Obs: reg}
+	opts := sim.SingleOptions{Scale: tinyScale}
+	m := RunMatrixEnv(env, sortedNames(workloads.Subset()), []exp.Policy{LRUSpec(), preset("Sampler")}, opts)
+	before := reg.CounterValue(obs.CtrJobsSubmitted)
+	sets := SamplerSetsSweepEnv(env, tinyScale, []int{32})
+	thr := ThresholdSweepEnv(env, tinyScale, []int{8})
+	if got := reg.CounterValue(obs.CtrJobsSubmitted) - before; got != 0 {
+		t.Errorf("sweeps at sets 32 and threshold 8 submitted %d jobs after Sampler ran, want 0", got)
+	}
+	lru := m.Series("LRU", func(r sim.SingleResult) float64 { return r.IPC })
+	want := geoMeanFinite(stats.Normalize(m.Series("Sampler", func(r sim.SingleResult) float64 { return r.IPC }), lru))
+	if sets[32] != want || thr[8] != want {
+		t.Errorf("sweep points sets-32 %v and thr-8 %v, want Sampler's gmean speedup %v", sets[32], thr[8], want)
 	}
 }

@@ -81,7 +81,8 @@ func (e *Extensions) Render() string {
 
 // SamplerSetsSweepEnv measures the design decision of Section III-A:
 // "32 sets provide a good trade-off between accuracy and efficiency".
-// It returns gmean speedup over LRU per sampler set count.
+// It returns gmean speedup over LRU per sampler set count. The 32-set
+// point is the paper's Sampler, so it shares Sampler's cells.
 func SamplerSetsSweepEnv(e *Env, scale float64, setCounts []int) map[int]float64 {
 	benches := sortedNames(workloads.Subset())
 	specs := []exp.Policy{LRUSpec()}
@@ -102,7 +103,8 @@ func SamplerSetsSweepEnv(e *Env, scale float64, setCounts []int) map[int]float64
 
 // ThresholdSweepEnv measures the design decision of Section III-E: "a
 // threshold of eight gives the best accuracy". It returns gmean speedup
-// over LRU per confidence threshold.
+// over LRU per confidence threshold. The threshold-8 point is the
+// paper's Sampler, so it shares Sampler's cells.
 func ThresholdSweepEnv(e *Env, scale float64, thresholds []int) map[int]float64 {
 	benches := sortedNames(workloads.Subset())
 	specs := []exp.Policy{LRUSpec()}

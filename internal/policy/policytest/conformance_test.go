@@ -142,3 +142,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalSpellingsRunIdentically: the registry gives spellings
+// of one configuration (arguments reordered, defaults written out) one
+// canonical expression, so figure cells and sdbpd answer one from the
+// other. Each spelled-out form must run exactly as its canonical form.
+// 429.mcf at scale 0.1 evicts enough for a knob off its default to run
+// differently, which the last check confirms.
+func TestCanonicalSpellingsRunIdentically(t *testing.T) {
+	run := func(expr string) Fingerprint { return Run(expr, "429.mcf", 0.1) }
+	for _, c := range []struct{ spelled, canon string }{
+		{"dbrb(pred=sampler(threshold=8,sets=32),base=lru)", "dbrb(base=lru,pred=sampler)"},
+		{"random(seed=1)", "random"},
+		{"duel(force=none,psel=10,leaders=32)", "duel(a=lru,b=dbrb(base=lru,pred=reuse))"},
+		{"ship(train=all,sigbits=14)", "ship"},
+	} {
+		if got := exp.MustResolvePolicy(c.spelled).Expr; got != c.canon {
+			t.Errorf("%q resolves to %q, want %q", c.spelled, got, c.canon)
+		}
+		if a, b := run(c.spelled), run(c.canon); !same(a, b) {
+			t.Errorf("%q and its canonical %q run differently:\n%+v\n%+v", c.spelled, c.canon, a, b)
+		}
+	}
+	if same(run("dbrb(base=lru,pred=sampler(threshold=6))"), run("dbrb(base=lru,pred=sampler)")) {
+		t.Error("sampler thresholds 6 and 8 fingerprint alike; the check above cannot tell configurations apart")
+	}
+}

@@ -8,8 +8,9 @@ import (
 )
 
 // SamplerConfig parameterizes the sampling predictor. The zero value is
-// not valid; use DefaultSamplerConfig (the paper's configuration) or one
-// of the Figure 6 ablation variants.
+// not valid; start from DefaultSamplerConfig (the paper's
+// configuration). The Figure 6 ablation variants are registry presets
+// (see exp.AblationVariantNames).
 type SamplerConfig struct {
 	// UseSampler enables the decoupled sampler tag array. When false
 	// the predictor degenerates to a PC-only reftrace-style predictor
@@ -46,34 +47,6 @@ func DefaultSamplerConfig() SamplerConfig {
 		TableEntries: 4096,
 		Threshold:    8,
 	}
-}
-
-// Figure 6 ablation variants. Each returns the configuration for one bar
-// of the paper's component-contribution study.
-func AblationConfigs() map[string]SamplerConfig {
-	base := DefaultSamplerConfig()
-	cfgs := map[string]SamplerConfig{
-		"DBRB alone": {
-			UseSampler: false, Tables: 1, TableEntries: 16384, Threshold: 3,
-		},
-		"DBRB+3 tables": {
-			UseSampler: false, Tables: 3, TableEntries: 4096, Threshold: 8,
-		},
-		"DBRB+sampler": {
-			UseSampler: true, SamplerSets: 32, SamplerAssoc: 16,
-			Tables: 1, TableEntries: 16384, Threshold: 3,
-		},
-		"DBRB+sampler+3 tables": {
-			UseSampler: true, SamplerSets: 32, SamplerAssoc: 16,
-			Tables: 3, TableEntries: 4096, Threshold: 8,
-		},
-		"DBRB+sampler+12-way": {
-			UseSampler: true, SamplerSets: 32, SamplerAssoc: 12,
-			Tables: 1, TableEntries: 16384, Threshold: 3,
-		},
-		"DBRB+sampler+3 tables+12-way": base,
-	}
-	return cfgs
 }
 
 // Sampler is the paper's sampling dead block predictor: a small,

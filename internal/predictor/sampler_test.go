@@ -215,25 +215,6 @@ func TestSamplerConfigValidation(t *testing.T) {
 	}
 }
 
-func TestAblationConfigsComplete(t *testing.T) {
-	cfgs := AblationConfigs()
-	if len(cfgs) != 6 {
-		t.Fatalf("ablation configs = %d, want 6", len(cfgs))
-	}
-	full := cfgs["DBRB+sampler+3 tables+12-way"]
-	if full != DefaultSamplerConfig() {
-		t.Error("full ablation variant differs from the default config")
-	}
-	alone := cfgs["DBRB alone"]
-	if alone.UseSampler || alone.Tables != 1 || alone.TableEntries != 16384 {
-		t.Errorf("DBRB alone = %+v", alone)
-	}
-	// The skewed tables are each one quarter of the single table.
-	if cfgs["DBRB+3 tables"].TableEntries*4 != alone.TableEntries {
-		t.Error("skewed tables are not quarter-sized")
-	}
-}
-
 func TestSamplerStorageMatchesPaper(t *testing.T) {
 	s := newDefaultSampler()
 	st := s.Storage()

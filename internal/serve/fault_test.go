@@ -471,9 +471,9 @@ func TestCrashRestartResumesByteIdentical(t *testing.T) {
 // TestCrashRestartIgnoresTornPut: the crash happened in the middle of
 // two Puts, one rewriting the stored result and one storing a new
 // result, and left each a torn temp file. The restarted server still
-// answers the stored result byte-identically, and the address with
-// only a torn temp file is a miss that runs its job, never the torn
-// bytes.
+// answers the stored result byte-identically, the address with only a
+// torn temp file is a miss that runs its job, never the torn bytes,
+// and reopening the directory deleted both temp files.
 func TestCrashRestartIgnoresTornPut(t *testing.T) {
 	dir := t.TempDir()
 	body := crashAfterSubmit(t, dir)
@@ -487,5 +487,17 @@ func TestCrashRestartIgnoresTornPut(t *testing.T) {
 	var res serve.Result
 	if err := json.Unmarshal(got, &res); err != nil || res.Spec != "blocked" {
 		t.Errorf("address with a torn temp file answered %q (%v), want the job's own manifest", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if addr, ok := strings.CutSuffix(e.Name(), ".json"); !ok || !serve.ValidAddr(addr) {
+			t.Errorf("store directory holds %s after the restart, want only ADDR.json files", e.Name())
+		}
+	}
+	if len(entries) != 2 {
+		t.Errorf("store directory holds %d files, want the 2 stored results", len(entries))
 	}
 }

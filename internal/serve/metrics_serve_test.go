@@ -88,6 +88,30 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	_ = resp
 }
 
+// TestFreshServerListsCountersAtZero: before any job, /metrics lists
+// the runner and serve counters at 0 in both formats, so a scraper can
+// tell 0 from a metric that does not exist.
+func TestFreshServerListsCountersAtZero(t *testing.T) {
+	_, ts := newTestServer(t, quietCfg())
+	_, body := get(t, ts, "/metrics")
+	var snap obs.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("/metrics is not the JSON snapshot: %v", err)
+	}
+	_, prom := get(t, ts, "/metrics?format=prom")
+	if err := obs.LintPrometheus(prom); err != nil {
+		t.Errorf("exposition fails lint: %v\n%s", err, prom)
+	}
+	for _, name := range []string{obs.CtrJobsSubmitted, serve.CtrCacheHits} {
+		if v, ok := snap.Counters[name]; !ok || v != 0 {
+			t.Errorf("JSON counter %s = %d (present %t), want present at 0", name, v, ok)
+		}
+		if !strings.Contains(string(prom), "\n"+name+"_total 0\n") {
+			t.Errorf("exposition lacks %s_total 0:\n%s", name, prom)
+		}
+	}
+}
+
 // TestMetricsUnderLoad is the satellite contract: concurrent /metrics
 // scrapes in both formats race live job submissions (run under -race
 // in CI), every scrape stays well-formed, and the exposition lints.

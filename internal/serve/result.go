@@ -16,11 +16,11 @@ import (
 // Addr returns the content address of a canonical spec expression: the
 // hex SHA-256 of the fully-expanded exp.Resolved.String() form. Two
 // submissions address the same result iff they resolve to the same
-// canonical spec: JSON field order, a preset or the expression it
-// names, and spec-level defaults left implicit or written out all
-// resolve alike. A policy expression is not normalized inside, so
-// reordered arguments or a default knob written out, as in
-// dbrb(base=lru,pred=sampler(sets=32)), address a distinct result.
+// canonical spec: JSON field order, a preset or any spelling of the
+// expression it names (arguments reordered, default knobs written out,
+// as in dbrb(pred=sampler(sets=32),base=lru) for Sampler), and
+// spec-level defaults left implicit or written out all resolve alike.
+// Two configurations that build differently never share an address.
 func Addr(canonicalSpec string) string {
 	sum := sha256.Sum256([]byte(canonicalSpec))
 	return hex.EncodeToString(sum[:])

@@ -14,8 +14,9 @@
 // Stage by stage:
 //
 //   - The canonical spec expression (exp.Resolved.String) gives every
-//     experiment an exact content address; identical submissions share
-//     one stored result (see Addr for which spellings are identical).
+//     experiment an exact content address; submissions of one
+//     configuration share one stored result, however the policy is
+//     spelled (see Addr for which spellings are identical).
 //   - Concurrent identical submissions collapse in the singleflight
 //     layer: N in-flight duplicates cost one simulation.
 //   - The singleflight leader runs its own job. It takes an admission
@@ -122,6 +123,18 @@ func New(cfg Config) *Server {
 		adm:     newAdmission(cfg.Queue, cfg.Workers),
 		jobs:    newJobTable(),
 		started: time.Now(),
+	}
+	// Every counter the server or its runner can raise reads 0 from
+	// the first scrape, so a scraper can tell 0 from a missing metric.
+	// The runner's checkpoint and retry counters are not among them:
+	// the server runs jobs once, with no checkpoint.
+	for _, name := range []string{
+		CtrHTTPRequests, CtrSubmits, CtrBadRequests, CtrCacheHits, CtrCacheMisses,
+		CtrSingleflightShared, CtrQueueRejects, CtrShutdownRejects, CtrStoreErrors,
+		obs.CtrJobsSubmitted, obs.CtrJobsSucceeded, obs.CtrJobsFailed,
+		obs.CtrJobsDrained, obs.CtrJobTimeouts, obs.CtrJobPanics,
+	} {
+		s.reg.Counter(name)
 	}
 	s.runCtx, s.cancel = context.WithCancel(context.Background())
 	s.ready.Store(true)

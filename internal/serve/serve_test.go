@@ -159,28 +159,80 @@ func TestSubmitCachesAndHits(t *testing.T) {
 	}
 }
 
-// TestSubmitSpellingsShareOneAddress: a preset name and its explicit
-// defaults resolve to the same canonical spec, so the second spelling
-// is a cache hit, not a second simulation.
+// TestSubmitSpellingsShareOneAddress: a preset name, its expression
+// with the arguments reordered or default knobs written out, and
+// spec-level defaults left implicit or written out all resolve to one
+// canonical spec, so each later spelling of a configuration is a cache
+// hit, not a second simulation.
 func TestSubmitSpellingsShareOneAddress(t *testing.T) {
+	groups := [][]string{
+		{`{"policy":"LRU","workloads":["456.hmmer"]}`, `{"policy":"lru","workloads":["456.hmmer"],"cores":1,"scale":1}`},
+		{
+			`{"policy":"Sampler","workloads":["456.hmmer"],"scale":0.05}`,
+			`{"policy":"dbrb(pred=sampler,base=lru)","workloads":["456.hmmer"],"scale":0.05}`,
+			`{"policy":"dbrb(base=lru,pred=sampler(sets=32,threshold=8))","workloads":["456.hmmer"],"scale":0.05}`,
+			`{"policy":"dbrb","workloads":["456.hmmer"],"scale":0.05}`,
+		},
+	}
 	var execs atomic.Int64
 	cfg := quietCfg()
 	cfg.WrapJob = cannedJob(&execs)
 	s, ts := newTestServer(t, cfg)
+	var later uint64
+	for _, group := range groups {
+		var first string
+		for i, body := range group {
+			resp, data := submit(t, ts, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: HTTP %d: %s", body, resp.StatusCode, data)
+			}
+			addr := resp.Header.Get("X-Sdbpd-Addr")
+			if i == 0 {
+				first = addr
+				continue
+			}
+			later++
+			if addr != first {
+				t.Errorf("%s got address %s, want the first spelling's %s", body, addr, first)
+			}
+			if src := resp.Header.Get("X-Sdbpd-Cache"); src != "hit" {
+				t.Errorf("%s: cache source %q, want hit", body, src)
+			}
+		}
+	}
+	if n := execs.Load(); n != int64(len(groups)) {
+		t.Errorf("executions = %d, want %d, one per configuration", n, len(groups))
+	}
+	if hits := s.Registry().CounterValue(serve.CtrCacheHits); hits != later {
+		t.Errorf("cache hits = %d, want %d", hits, later)
+	}
+}
 
-	resp1, _ := submit(t, ts, `{"policy":"LRU","workloads":["456.hmmer"]}`)
-	resp2, _ := submit(t, ts, `{"policy":"lru","workloads":["456.hmmer"],"cores":1,"scale":1}`)
-	if resp1.StatusCode != 200 || resp2.StatusCode != 200 {
-		t.Fatalf("HTTP %d, %d", resp1.StatusCode, resp2.StatusCode)
+// TestMixesOnlySpecNamesItsGeometry: mixes always run quad-core at
+// LLCFor(4), so a mixes-only spec's address follows the geometry its
+// mixes run at, never its cores field. cores 8 with no llc is the
+// 8MB run, another experiment than an explicit llc(mb=16); cores 1 and
+// 8 with no llc are one experiment.
+func TestMixesOnlySpecNamesItsGeometry(t *testing.T) {
+	var execs atomic.Int64
+	cfg := quietCfg()
+	cfg.WrapJob = cannedJob(&execs)
+	_, ts := newTestServer(t, cfg)
+	addr := func(body string) string {
+		t.Helper()
+		resp, data := submit(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", body, resp.StatusCode, data)
+		}
+		return resp.Header.Get("X-Sdbpd-Addr")
 	}
-	if a1, a2 := resp1.Header.Get("X-Sdbpd-Addr"), resp2.Header.Get("X-Sdbpd-Addr"); a1 != a2 {
-		t.Errorf("spellings of the same experiment got different addresses:\n%s\n%s", a1, a2)
+	cores8 := addr(`{"policy":"LRU","mixes":["mix1"],"cores":8}`)
+	mb16 := addr(`{"policy":"LRU","mixes":["mix1"],"cores":8,"llc":"llc(mb=16)"}`)
+	if cores8 == mb16 || execs.Load() != 2 {
+		t.Errorf("cores 8 and llc(mb=16): addresses %s and %s after %d runs, want two addresses and two runs", cores8, mb16, execs.Load())
 	}
-	if n := execs.Load(); n != 1 {
-		t.Errorf("executions = %d, want 1", n)
-	}
-	if hits := s.Registry().CounterValue(serve.CtrCacheHits); hits != 1 {
-		t.Errorf("cache hits = %d, want 1", hits)
+	if cores1 := addr(`{"policy":"LRU","mixes":["mix1"],"cores":1}`); cores1 != cores8 || execs.Load() != 2 {
+		t.Errorf("cores 1 and 8: addresses %s and %s after %d runs, want one address and no new run", cores1, cores8, execs.Load())
 	}
 }
 

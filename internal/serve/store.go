@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"sdbp/internal/memo"
 )
@@ -50,18 +51,31 @@ func (s *MemStore) Put(addr string, data []byte) error {
 
 // DiskStore keeps one file per result under a directory, so cached
 // results survive restarts: a server restarted on the same directory
-// answers every stored result as a cache hit. Writes go through a temp
-// file and rename, so a crash mid-Put leaves either the old value or
-// none — never a torn blob — plus at worst a stray temp file, which
-// Get never reads.
+// answers every stored result as a cache hit. A directory serves one
+// server. Writes go through a temp file and rename, so a crash mid-Put
+// leaves either the old value or none — never a torn blob — plus at
+// worst a stray temp file, which Get never reads and the next
+// NewDiskStore on the directory deletes.
 type DiskStore struct {
 	dir string
 }
 
-// NewDiskStore creates (if needed) and opens a directory-backed store.
+// NewDiskStore creates (if needed) and opens a directory-backed store,
+// deleting the ADDR.tmp* files a crash in the middle of a Put left.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: disk store: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: disk store: %w", err)
+	}
+	for _, e := range entries {
+		if addr, _, torn := strings.Cut(e.Name(), ".tmp"); torn && ValidAddr(addr) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("serve: disk store: %w", err)
+			}
+		}
 	}
 	return &DiskStore{dir: dir}, nil
 }

@@ -6,7 +6,7 @@
 # expressions, and the paper's figure sweeps all share one construction
 # path with the paper-default seeds and configs. This guard fails if a
 # direct constructor call (policy.New*, predictor.New*) or a raw config
-# source (predictor.DefaultSamplerConfig, predictor.AblationConfigs)
+# source (predictor.DefaultSamplerConfig)
 # appears anywhere outside:
 #
 #   internal/exp/        the registry itself
@@ -23,7 +23,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-violations=$(grep -rnE '\b(policy|predictor)\.(New[A-Z][A-Za-z0-9_]*|DefaultSamplerConfig|AblationConfigs)\b' \
+violations=$(grep -rnE '\b(policy|predictor)\.(New[A-Z][A-Za-z0-9_]*|DefaultSamplerConfig)\b' \
     --include='*.go' . \
   | grep -v '_test\.go:' \
   | grep -vE '^\./(internal/exp|internal/policy|internal/predictor)/' \

@@ -6,13 +6,16 @@
 #   1. start sdbpd with a disk store;
 #   2. submit a small spec twice through sdbpctl and prove the second
 #      submission is answered from the result cache (via /metrics);
+#      then submit Sampler and a reordered, default-written spelling of
+#      its expression, which must share one address and one result;
 #   3. check the observability surface: the job's trace reconciles
 #      (sdbpctl trace -check), its SSE lifecycle replays in order
 #      (sdbpctl watch), and /metrics serves lint-clean Prometheus text;
 #   4. submit a long job, SIGTERM the daemon mid-run, and let the
 #      drain store whatever finished;
 #   5. restart on the same store directory and verify the small spec
-#      comes back byte-identical as a cache hit, with no job run.
+#      comes back byte-identical as a cache hit, with no job run (the
+#      restarted daemon lists runner_jobs_submitted at 0).
 #
 # Exits non-zero on the first broken promise. Needs only a Go
 # toolchain and a POSIX shell.
@@ -58,9 +61,13 @@ counter() {
 }
 
 small='{"policy":"LRU","workloads":["456.hmmer"],"scale":0.05}'
+preset='{"policy":"Sampler","workloads":["456.hmmer"],"scale":0.05}'
+spelled='{"policy":"dbrb(pred=sampler(threshold=8),base=lru)","workloads":["456.hmmer"],"scale":0.05}'
 big='{"policy":"Sampler","workloads":["all"],"scale":1}'
-echo "$small" > "$workdir/small.json"
-echo "$big"   > "$workdir/big.json"
+echo "$small"   > "$workdir/small.json"
+echo "$preset"  > "$workdir/preset.json"
+echo "$spelled" > "$workdir/spelled.json"
+echo "$big"     > "$workdir/big.json"
 
 echo "== start sdbpd"
 start_daemon
@@ -73,6 +80,17 @@ hits=$(counter serve_cache_hits)
 [ "${hits:-0}" -ge 1 ] || fail "serve_cache_hits = ${hits:-unset}, want >= 1"
 submitted=$(counter runner_jobs_submitted)
 [ "${submitted:-0}" = 1 ] || fail "runner_jobs_submitted = ${submitted:-unset}, want 1: one job for two submissions"
+
+echo "== two spellings of Sampler: one address, second a byte-identical hit"
+preset_addr=$("$workdir/sdbpctl" addr -spec "$workdir/preset.json")
+spelled_addr=$("$workdir/sdbpctl" addr -spec "$workdir/spelled.json")
+[ "$preset_addr" = "$spelled_addr" ] || fail "Sampler spellings got addresses $preset_addr and $spelled_addr, want one"
+"$workdir/sdbpctl" submit -server "$base" -spec "$workdir/preset.json" > "$workdir/preset.out" 2>/dev/null
+"$workdir/sdbpctl" submit -server "$base" -spec "$workdir/spelled.json" > "$workdir/spelled.out" 2>"$workdir/spelled.err"
+cmp -s "$workdir/preset.out" "$workdir/spelled.out" || fail "spelled-out Sampler manifest differs from the preset's"
+grep -q "result source: hit" "$workdir/spelled.err" || fail "spelled-out Sampler is not a cache hit: $(cat "$workdir/spelled.err")"
+submitted=$(counter runner_jobs_submitted)
+[ "$submitted" = 2 ] || fail "runner_jobs_submitted = ${submitted:-unset}, want 2: one job per configuration"
 
 echo "== trace must be complete and reconcile"
 addr=$("$workdir/sdbpctl" addr -spec "$workdir/small.json")
@@ -116,9 +134,9 @@ start_daemon
 "$workdir/sdbpctl" submit -server "$base" -spec "$workdir/small.json" > "$workdir/small3.json" 2>"$workdir/small3.err"
 cmp -s "$workdir/small1.json" "$workdir/small3.json" || fail "restarted manifest differs from the original"
 grep -q "result source: hit" "$workdir/small3.err" || fail "restarted answer is not a cache hit: $(cat "$workdir/small3.err")"
-# A counter never raised is absent from the snapshot: unset reads as 0.
+# The restarted daemon lists its counters at 0 before any job runs.
 submitted=$(counter runner_jobs_submitted)
-[ "${submitted:-0}" = 0 ] || fail "runner_jobs_submitted = $submitted, want 0: the restart re-simulated"
+[ "$submitted" = 0 ] || fail "runner_jobs_submitted = ${submitted:-unset}, want present and 0: the restart re-simulated"
 
 echo "== graceful stop"
 kill -TERM "$daemon_pid"
