@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -135,6 +136,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bench := fs.String("bench", "", "with -policy: comma-separated benchmarks, 'subset' (the default), or 'all'")
 	mix := fs.String("mix", "", "with -policy: comma-separated quad-core mix names or 'all'")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+		fmt.Fprintf(stderr, "experiments: -scale must be a finite number above 0, not %v\n", *scale)
 		return 2
 	}
 

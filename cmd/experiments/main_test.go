@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -47,5 +48,22 @@ func TestParseOnlyCoversEverySection(t *testing.T) {
 	}
 	if len(want) != len(sections) {
 		t.Errorf("selected %d of %d sections", len(want), len(sections))
+	}
+}
+
+// TestScaleMustBeFinitePositive: a -scale that is zero, negative or not
+// finite is a usage error naming the flag, and no section runs.
+func TestScaleMustBeFinitePositive(t *testing.T) {
+	for _, bad := range []string{"0", "-1", "NaN", "+Inf", "-Inf"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-scale", bad, "-only", "table1", "-quiet"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-scale %s: exit %d, want 2", bad, code)
+		}
+		if !strings.Contains(stderr.String(), "-scale") {
+			t.Errorf("-scale %s: stderr %q does not name the flag", bad, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-scale %s: ran anyway:\n%s", bad, stdout.String())
+		}
 	}
 }

@@ -126,10 +126,12 @@ func BenchmarkLLCAccessBatch(b *testing.B) {
 }
 
 // BenchmarkSingleCoreCampaign measures one full single-core simulation
-// — synthetic trace generation through L1/L2/LLC with the sampling
-// policy and the core timing model — per iteration. This is the unit
-// the evaluation suite runs hundreds of times, so its ns/op is the
-// campaign's wall-clock.
+// — the sampling policy's LLC and the core timing model over 456.hmmer
+// ×0.1 — per iteration. This is the unit the evaluation suite runs
+// hundreds of times, so its ns/op is the campaign's wall-clock. The
+// stream is memo-sized: it is generated and run through L1/L2 once, and
+// every iteration replays the private levels' output from the memo, as
+// every cell of a small-scale campaign after the stream's first does.
 func BenchmarkSingleCoreCampaign(b *testing.B) {
 	w, err := workloads.ByName("456.hmmer")
 	if err != nil {
@@ -146,9 +148,9 @@ func BenchmarkSingleCoreCampaign(b *testing.B) {
 }
 
 // BenchmarkMulticoreCampaign measures one quad-core shared-LLC run —
-// four goroutine-parallel generate+private-filter producers feeding the
-// timestamp-ordered LLC merge — per iteration, at the figure campaigns'
-// multicore scale.
+// four goroutine-parallel private-filter producers, replaying their
+// memo-sized member streams, feeding the timestamp-ordered LLC merge —
+// per iteration, at the figure campaigns' multicore scale.
 func BenchmarkMulticoreCampaign(b *testing.B) {
 	mixes := workloads.Mixes()
 	if len(mixes) == 0 {

@@ -53,9 +53,10 @@ func TestSampledPilotsStayWithinMemoBudget(t *testing.T) {
 	}
 
 	// A budget-sized entry of a throwaway Cache evicts whatever earlier
-	// tests left, and the stream's admission evicts it in turn: from
-	// here on, each spec admits exactly one entry, its pilot, so a step
-	// that evicts nothing measures that pilot's size.
+	// tests left, and the instruction count's admission evicts it in
+	// turn. The first spec also admits the filtered stream its pilot run
+	// replays; from then on, each spec admits exactly one entry, its
+	// pilot, so a step that evicts nothing measures that pilot's size.
 	memo.New[int, int]().Put(0, 0, memo.Budget)
 	base := heap()
 	w.Instructions(0.05)

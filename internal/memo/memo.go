@@ -1,7 +1,8 @@
 // Package memo is the process's one cache: a least-recently-used map
 // shared by everything that keeps results for the life of the process
-// (generated reference streams, instruction counts, sampled pilots,
-// sdbpd's in-memory result store), bounded by a single byte Budget.
+// (sim's filtered streams and multicore member streams, instruction
+// counts, sampled pilots, sdbpd's in-memory result store), bounded by a
+// single byte Budget.
 //
 // Each user holds a Cache, its own key space in the shared map: equal
 // keys in two Caches never collide. An entry's size is its filler's
@@ -18,11 +19,10 @@ import (
 
 // Budget bounds the accounted bytes of every resident entry in the
 // process. DESIGN.md §8 sizes it: it holds svc-mixed's whole working
-// set (five 140K-access streams, 16.8 MB, and at most 2 MB of result
-// manifests) with room for five scale-0.05 sampled pilots, and it
-// equals the 2M-access cap the stream memo had on its own. An entry
-// larger than Budget is still admitted, alone, so the resident bytes
-// never exceed Budget plus one entry.
+// set (the private levels' output of five 140K-access streams, 9.0 MB,
+// and at most 2 MB of result manifests) with room for six scale-0.05
+// sampled pilots. An entry larger than Budget is still admitted, alone,
+// so the resident bytes never exceed Budget plus one entry.
 const Budget = 48 << 20
 
 // entryOverhead approximates what one entry costs beyond its value: the

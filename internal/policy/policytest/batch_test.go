@@ -26,7 +26,7 @@ func llcStream(t *testing.T) []mem.Access {
 		t.Fatal(err)
 	}
 	r := sim.RunSingle(w, exp.MustResolvePolicy("LRU").Make(1),
-		sim.SingleOptions{Scale: conformanceScale, CaptureStream: true})
+		sim.SingleOptions{Scale: conformanceScale, LLC: conformanceLLC, CaptureStream: true})
 	if len(r.Stream) == 0 {
 		t.Fatal("no LLC traffic captured")
 	}
@@ -39,7 +39,7 @@ func llcStream(t *testing.T) []mem.Access {
 func TestBatchDifferential(t *testing.T) {
 	stream := llcStream(t)
 	for _, expr := range exprsUnderTest(t) {
-		if msg := BatchDifferential(expr, stream, batchChunk); msg != "" {
+		if msg := BatchDifferential(expr, conformanceLLC, stream, batchChunk); msg != "" {
 			t.Errorf("%q: batch vs scalar: %s", expr, msg)
 		}
 	}
@@ -56,7 +56,7 @@ func TestHierBatchDifferential(t *testing.T) {
 	}
 	stream := trace.Collect(w.Generator(conformanceScale))
 	for _, expr := range exprsUnderTest(t) {
-		if msg := HierBatchDifferential(expr, stream, batchChunk); msg != "" {
+		if msg := HierBatchDifferential(expr, conformanceLLC, stream, batchChunk); msg != "" {
 			t.Errorf("%q: hierarchy batch vs scalar: %s", expr, msg)
 		}
 	}

@@ -11,15 +11,21 @@ import (
 	"sdbp/internal/workloads"
 )
 
-// conformanceBench and conformanceScale fix the workload every policy
-// spelling runs under. One memory-intensive benchmark at the golden
-// suite's scale keeps the full matrix (every spelling × repeats ×
-// GOMAXPROCS) tractable while still exercising fills, hits, bypasses,
-// evictions and writebacks.
+// conformanceBench, conformanceScale and conformanceLLC fix the
+// workload and LLC every policy spelling runs under. One
+// memory-intensive benchmark at scale 0.05 keeps the full matrix (every
+// spelling × repeats × GOMAXPROCS) tractable, and a 512KB 16-way LLC
+// makes it evict: there the policies decide differently, so a wrong
+// replacement or bypass decision changes a fingerprint. On the paper's
+// 2MB LLC a stream this short never evicts, and every policy
+// fingerprints alike. TestConformanceGeometryDiscriminates pins both
+// properties.
 const (
 	conformanceBench = "456.hmmer"
-	conformanceScale = 0.01
+	conformanceScale = 0.05
 )
+
+var conformanceLLC = cache.Config{Name: "LLC", SizeBytes: 512 << 10, Ways: 16}
 
 // shortExpressions is the -short subset: the paper's policy, the three
 // new zoo members, and the baseline.
@@ -74,14 +80,36 @@ func checkInvariants(t *testing.T, expr string, fp Fingerprint) {
 	}
 }
 
+// TestConformanceGeometryDiscriminates pins what lets the conformance
+// and differential suites fail: every benchmark they run evicts under
+// LRU, and on conformanceBench policies that decide differently hit a
+// different number of times.
+func TestConformanceGeometryDiscriminates(t *testing.T) {
+	for _, bench := range append([]string{conformanceBench}, differentialBenches(t)...) {
+		if fp := Run("lru", bench, conformanceScale, conformanceLLC); fp.LLC.Evictions == 0 {
+			t.Errorf("%s evicts nothing under LRU; no identity or repeat check can fail on it", bench)
+		}
+	}
+	byHits := map[uint64]string{}
+	for _, expr := range []string{"lru", "random(seed=7)", "srrip", "ship"} {
+		fp := Run(expr, conformanceBench, conformanceScale, conformanceLLC)
+		if other, ok := byHits[fp.LLC.Hits]; ok {
+			t.Errorf("%q and %q both hit %d times on %s; the geometry does not tell policies apart",
+				other, expr, fp.LLC.Hits, conformanceBench)
+		}
+		byHits[fp.LLC.Hits] = expr
+		t.Logf("%s under %q: %d LLC hits, %d evictions", conformanceBench, expr, fp.LLC.Hits, fp.LLC.Evictions)
+	}
+}
+
 // TestConformanceInvariants runs every registry spelling once and
 // applies the shared invariants, then once more to pin determinism
 // across repeats: identical fingerprints, bit for bit.
 func TestConformanceInvariants(t *testing.T) {
 	for _, expr := range exprsUnderTest(t) {
-		first := Run(expr, conformanceBench, conformanceScale)
+		first := Run(expr, conformanceBench, conformanceScale, conformanceLLC)
 		checkInvariants(t, expr, first)
-		second := Run(expr, conformanceBench, conformanceScale)
+		second := Run(expr, conformanceBench, conformanceScale, conformanceLLC)
 		if !same(first, second) {
 			t.Errorf("%q: repeat diverged:\n  first  %+v\n  second %+v", expr, first, second)
 		}
@@ -97,7 +125,7 @@ func TestConformanceGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
 		for i, expr := range exprs {
-			fp := Run(expr, conformanceBench, conformanceScale)
+			fp := Run(expr, conformanceBench, conformanceScale, conformanceLLC)
 			if procs == 1 {
 				ref[i] = fp
 				continue
@@ -150,7 +178,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // 429.mcf at scale 0.1 evicts enough for a knob off its default to run
 // differently, which the last check confirms.
 func TestCanonicalSpellingsRunIdentically(t *testing.T) {
-	run := func(expr string) Fingerprint { return Run(expr, "429.mcf", 0.1) }
+	run := func(expr string) Fingerprint { return Run(expr, "429.mcf", 0.1, hier.LLCConfig(1)) }
 	for _, c := range []struct{ spelled, canon string }{
 		{"dbrb(pred=sampler(threshold=8,sets=32),base=lru)", "dbrb(base=lru,pred=sampler)"},
 		{"random(seed=1)", "random"},

@@ -51,8 +51,11 @@ func TestDifferentialDegeneration(t *testing.T) {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			for _, bench := range differentialBenches(t) {
-				got := Run(pair.expr, bench, conformanceScale)
-				want := Run(pair.base, bench, conformanceScale)
+				got := Run(pair.expr, bench, conformanceScale, conformanceLLC)
+				want := Run(pair.base, bench, conformanceScale, conformanceLLC)
+				if want.LLC.Evictions == 0 {
+					t.Errorf("%s: %q evicts nothing; the identity cannot fail", bench, pair.base)
+				}
 				if got.Cells != want.Cells {
 					t.Errorf("%s: %q cells %q != base %q cells %q",
 						bench, pair.expr, got.Cells, pair.base, want.Cells)
@@ -72,7 +75,7 @@ func TestDifferentialDegeneration(t *testing.T) {
 // on every fill yet zero positive verdicts, so the wrapper's bypass and
 // dead-victim paths never fire.
 func TestDifferentialNeverPredicts(t *testing.T) {
-	fp := Run("dbrb(base=lru,pred=never)", conformanceBench, conformanceScale)
+	fp := Run("dbrb(base=lru,pred=never)", conformanceBench, conformanceScale, conformanceLLC)
 	if fp.Accuracy == nil {
 		t.Fatal("dbrb run carried no accuracy accounting")
 	}

@@ -60,16 +60,17 @@ type Fingerprint struct {
 	Cells string
 }
 
-// Run simulates one benchmark under a registry policy expression and
+// Run simulates one benchmark under a registry policy expression on an
+// LLC of the given geometry (the zero value is the paper's 2MB) and
 // returns its fingerprint. It panics on an unresolvable expression
 // (harness inputs are registry-derived).
-func Run(nameOrExpr, bench string, scale float64) Fingerprint {
+func Run(nameOrExpr, bench string, scale float64, llc cache.Config) Fingerprint {
 	w, err := workloads.ByName(bench)
 	if err != nil {
 		panic(err)
 	}
 	p := exp.MustResolvePolicy(nameOrExpr)
-	r := sim.RunSingle(w, p.Make(1), sim.SingleOptions{Scale: scale})
+	r := sim.RunSingle(w, p.Make(1), sim.SingleOptions{Scale: scale, LLC: llc})
 	return Fingerprint{
 		Instructions: r.Instructions,
 		Cycles:       r.Cycles,
@@ -83,16 +84,16 @@ func Run(nameOrExpr, bench string, scale float64) Fingerprint {
 }
 
 // BatchDifferential drives the same LLC-bound stream through two fresh
-// caches built from the same policy expression — one per-access through
-// Access, one in chunks through AccessBatch — and returns a description
-// of the first divergence in per-access results, statistics, or final
-// tag state ("" when byte-identical). chunk sets the batch size (a
-// value that does not divide the stream length also exercises the
-// trailing short batch).
-func BatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string {
+// caches of geometry llc built from the same policy expression — one
+// per-access through Access, one in chunks through AccessBatch — and
+// returns a description of the first divergence in per-access results,
+// statistics, or final tag state ("" when byte-identical). chunk sets
+// the batch size (a value that does not divide the stream length also
+// exercises the trailing short batch).
+func BatchDifferential(nameOrExpr string, llc cache.Config, stream []mem.Access, chunk int) string {
 	p := exp.MustResolvePolicy(nameOrExpr)
-	scalar := cache.New(hier.LLCConfig(1), p.Make(1))
-	batch := cache.New(hier.LLCConfig(1), p.Make(1))
+	scalar := cache.New(llc, p.Make(1))
+	batch := cache.New(llc, p.Make(1))
 
 	scalarRs := make([]cache.Result, len(stream))
 	for i, a := range stream {
@@ -119,17 +120,17 @@ func BatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string
 }
 
 // HierBatchDifferential drives the same raw demand stream through two
-// fresh full hierarchies under the same policy expression — one
-// per-access through hier.Core.Access, one in chunks the way the drive
-// loops run it: hier.Core.FilterBlock over the private levels (the
-// cache.AccessPrivate path), then cache.AccessBatch over the LLC-bound
-// records — and returns the first divergence in satisfying levels,
-// per-level statistics, or final tag state at any level ("" when
-// byte-identical).
-func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string {
+// fresh full hierarchies, with an LLC of geometry llc, under the same
+// policy expression — one per-access through hier.Core.Access, one in
+// chunks the way the drive loops run it: hier.Core.FilterBlock over the
+// private levels (the cache.AccessPrivate path), then cache.AccessBatch
+// over the LLC-bound records — and returns the first divergence in
+// satisfying levels, per-level statistics, or final tag state at any
+// level ("" when byte-identical).
+func HierBatchDifferential(nameOrExpr string, llc cache.Config, stream []mem.Access, chunk int) string {
 	p := exp.MustResolvePolicy(nameOrExpr)
-	scalarCore := hier.NewCore(hier.DefaultConfig(), cache.New(hier.LLCConfig(1), p.Make(1)))
-	batchCore := hier.NewCore(hier.DefaultConfig(), cache.New(hier.LLCConfig(1), p.Make(1)))
+	scalarCore := hier.NewCore(hier.DefaultConfig(), cache.New(llc, p.Make(1)))
+	batchCore := hier.NewCore(hier.DefaultConfig(), cache.New(llc, p.Make(1)))
 
 	scalarLv := make([]hier.Level, len(stream))
 	for i, a := range stream {

@@ -116,6 +116,31 @@ func TestMemStoreDropsLeastRecentlyUsedPastBudget(t *testing.T) {
 	}
 }
 
+// TestSingleJobsShareOneFilteredStream submits two jobs on one
+// benchmark and scale under different policies: together they admit
+// exactly three memo entries, the stream's private-level output and
+// the two results. A raw stream kept beside the filtered one would be
+// a fourth.
+func TestSingleJobsShareOneFilteredStream(t *testing.T) {
+	_, ts := newTestServer(t, quietCfg())
+	// A budget-sized entry evicts whatever is resident, the stream too
+	// if an earlier run of this test left it, and the stream's admission
+	// evicts it in turn.
+	memo.New[int, int]().Put(0, 0, memo.Budget)
+	before := memo.Stats()
+	for _, policy := range []string{"LRU", "Sampler"} {
+		body := `{"policy":"` + policy + `","workloads":["456.hmmer"],"scale":0.013}`
+		if resp, data := submit(t, ts, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", policy, resp.StatusCode, data)
+		}
+	}
+	after := memo.Stats()
+	if n := after.Entries - before.Entries + int(after.Evictions-before.Evictions); n != 3 {
+		t.Errorf("two jobs on one stream admitted %d memo entries (%+v, before %+v), want 3: the filtered stream and two results",
+			n, after, before)
+	}
+}
+
 func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := serve.NewDiskStore(dir)

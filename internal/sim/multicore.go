@@ -203,7 +203,7 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 			timing: cpu.New(cpu.DefaultConfig()),
 			id:     i,
 			left:   w.Accesses(opts.Scale),
-			src:    startProducer(pipeBuffers, filtered(hier.NewCore(hier.DefaultConfig(), nil), prefill(i, mix.Name, w.Generator(opts.Scale)))),
+			src:    startProducer(pipeBuffers, filtered(hier.NewCore(hier.DefaultConfig(), nil), prefill(i, mix.Name, memberGenerator(w, opts.Scale)))),
 		}
 	}
 

@@ -19,12 +19,13 @@ import (
 )
 
 // chunkSize is how many records cross a goroutine boundary at once, at
-// every producer in the package: Filter's, each of RunMulticore's
-// per-core prefilters, MaterializeSampled's generator, and
-// RunSampledTrace's LLC leg (one hit bit per measured LLC-bound
-// record). Each handoff can cost a goroutine park and a futex wake-up,
-// so a chunk must be long enough for producing it to dwarf that;
-// 256-access chunks were not (see EXPERIMENTS.md).
+// every producer in the package: Filter's (and the chunks its memoized
+// streams replay in), each of RunMulticore's per-core prefilters,
+// MaterializeSampled's generator, and RunSampledTrace's LLC leg (one
+// hit bit per measured LLC-bound record). Each handoff can cost a
+// goroutine park and a futex wake-up, so a chunk must be long enough
+// for producing it to dwarf that; 256-access chunks were not (see
+// EXPERIMENTS.md).
 const chunkSize = 4096
 
 // pipeBuffers is the number of chunk buffers circulating per drive-loop
@@ -173,21 +174,48 @@ func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) Singl
 	return res
 }
 
-// Filter is the single-core drive loop every single-core study shares.
-// A producer goroutine generates w's stream at scale and runs it through
-// a fresh private L1/L2 stack (hier.Core.FilterBlock); consume receives
-// the filtered records on the caller's goroutine, one chunk at a time
-// in stream order, and runs its own LLC leg and timing on them. A chunk
-// is valid only until consume returns. Filter returns the private
-// levels' statistics once the stream is exhausted.
+// Filter is the single-core drive loop every single-core study shares:
+// it runs w's stream at scale (0 means 1) through a fresh private L1/L2
+// stack (hier.Core.FilterBlock, the paper's geometry) and hands consume
+// the filtered records on the caller's goroutine, chunkSize records at a
+// time in stream order; consume runs its own LLC leg and timing on them.
+// A chunk is valid only until consume returns, and consume must not
+// modify it. Filter returns the private levels' statistics once the
+// stream is exhausted.
+//
+// The private levels are plain LRU and never read LLC or timing state,
+// so their output is the same under every LLC policy and geometry. A
+// stream of at most memoMaxAccesses is therefore filtered once and kept
+// in the process memo (see filteredStream); every later Filter call for
+// it replays that output on the caller's goroutine, with no generation,
+// no private levels and no producer goroutine. A longer stream is
+// generated and filtered on a producer goroutine as it is consumed.
+// Both paths hand consume the same chunks.
 //
 // The split is byte-identical to per-access hier.Core.Access calls
 // because each cache still sees its own access subsequence in order,
 // the private levels never read LLC or timing state, and timing never
-// feeds back. Filter stops the producer before returning, also when
-// consume panics (a policy fault in the LLC leg), so no goroutine is
-// left blocked on its channels.
+// feeds back. A panic in consume (a policy fault in the LLC leg)
+// reaches the caller; it leaves no producer goroutine behind and no
+// memo fill unfinished, because a fill runs no consumer code.
 func Filter(w workloads.Workload, scale float64, consume func(recs []hier.Filtered)) (l1, l2 cache.Stats) {
+	if scale == 0 {
+		scale = 1
+	}
+	if w.Accesses(scale) > memoMaxAccesses {
+		return filterGenerated(w, scale, consume)
+	}
+	s := memoFiltered(w, scale)
+	s.replay(consume)
+	return s.l1, s.l2
+}
+
+// filterGenerated is Filter's generated path: a producer goroutine
+// generates w's stream at scale and runs it through a fresh private
+// L1/L2 stack while consume works on the previous chunk. It stops the
+// producer before returning, also when consume panics, so no goroutine
+// is left blocked on its channels.
+func filterGenerated(w workloads.Workload, scale float64, consume func(recs []hier.Filtered)) (l1, l2 cache.Stats) {
 	bg := w.Generator(scale)
 	core := hier.NewCore(hier.DefaultConfig(), nil)
 	p := startProducer(pipeBuffers, filtered(core, func(buf []mem.Access) (int, error) { return bg.NextBatch(buf), nil }))
@@ -236,7 +264,8 @@ type producer[T any] struct {
 // ends it with p.err set. The recs channel holds at most buffers-2
 // chunks and each side holds at most one, so after every send the free
 // list has a buffer for the producer, and it always has room for the
-// consumer's return.
+// consumer's return. One allocation backs every buffer, each capped at
+// its own chunk.
 func startProducer[T any](buffers int, fill func(buf []T) (int, error)) *producer[T] {
 	p := &producer[T]{
 		recs: make(chan []T, buffers-2),
@@ -244,8 +273,9 @@ func startProducer[T any](buffers int, fill func(buf []T) (int, error)) *produce
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	backing := make([]T, buffers*chunkSize)
 	for i := 0; i < buffers; i++ {
-		p.free <- make([]T, chunkSize)
+		p.free <- backing[i*chunkSize : (i+1)*chunkSize : (i+1)*chunkSize]
 	}
 	go func() {
 		defer close(p.done)

@@ -5,13 +5,17 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sdbp/internal/cache"
+	"sdbp/internal/cpu"
 	"sdbp/internal/dbrb"
 	"sdbp/internal/hier"
 	"sdbp/internal/mem"
+	"sdbp/internal/memo"
 	"sdbp/internal/policy"
 	"sdbp/internal/predictor"
 	"sdbp/internal/sampling"
@@ -210,12 +214,32 @@ func panicOf(run func()) (v any) {
 	return nil
 }
 
+// perAccessRun is the loop RunSingle replaced, for checks that must not
+// share its code: the generator, hier.Core.Access and cpu.Record, one
+// access at a time.
+func perAccessRun(w workloads.Workload, pol cache.Policy, scale float64, llcCfg cache.Config) SingleResult {
+	llc := cache.New(llcCfg, pol)
+	core := hier.NewCore(hier.DefaultConfig(), llc)
+	timing := cpu.New(cpu.DefaultConfig())
+	gen := w.Generator(scale)
+	buf := make([]mem.Access, chunkSize)
+	for n := gen.NextBatch(buf); n > 0; n = gen.NextBatch(buf) {
+		for _, a := range buf[:n] {
+			timing.Record(a.Gap, core.Access(a).Latency(), a.DependentLoad)
+		}
+	}
+	return SingleResult{Instructions: timing.Instructions(), Cycles: uint64(timing.Cycles()), IPC: timing.IPC(),
+		LLC: llc.Stats(), L1: core.L1.Stats(), L2: core.L2.Stats()}
+}
+
 // TestPolicyPanicStopsProducers pins that a policy panic reaches the
 // caller's goroutine, where it can be recovered, and leaves no producer
 // goroutine behind in any drive loop that starts them: the goroutine
 // count returns to its baseline. RunSampledTrace runs the policy on its
 // producer, which must hand the panic over rather than crash the
-// process.
+// process. RunSingle's stream is memo-sized and no other test runs it,
+// so the faulty run fills its memo entry; the panic must leave that
+// entry whole for the LRU run that follows.
 func TestPolicyPanicStopsProducers(t *testing.T) {
 	small := cache.Config{Name: "LLC", SizeBytes: 64 << 10, Ways: 16}
 	plan := testPlan(t, 5_000, sampling.Config{Clusters: 3})
@@ -223,12 +247,17 @@ func TestPolicyPanicStopsProducers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const panicScale = 0.019
+	key := streamKey{hmmer(t).Name, hmmer(t).Accesses(panicScale)}
+	if key.n > memoMaxAccesses {
+		t.Fatalf("the RunSingle stream is %d accesses, over the memo's cap", key.n)
+	}
 	runs := []struct {
 		name string
 		run  func()
 	}{
 		{"RunSingle", func() {
-			RunSingle(hmmer(t), faultyPolicy{policy.NewLRU()}, SingleOptions{Scale: testScale, LLC: small})
+			RunSingle(hmmer(t), faultyPolicy{policy.NewLRU()}, SingleOptions{Scale: panicScale, LLC: small})
 		}},
 		{"RunMulticore", func() {
 			RunMulticore(workloads.Mixes()[0], faultyPolicy{policy.NewLRU()}, MulticoreOptions{Scale: testScale, LLC: small})
@@ -257,6 +286,75 @@ func TestPolicyPanicStopsProducers(t *testing.T) {
 		}
 		if after > before {
 			t.Errorf("%s: %d goroutines after the recovered panic, %d before", r.name, after, before)
+		}
+	}
+
+	if _, ok := filteredStreams.Get(key); !ok {
+		t.Fatal("the faulty RunSingle left no memo entry for its stream")
+	}
+	before := memo.Stats()
+	got := RunSingle(hmmer(t), policy.NewLRU(), SingleOptions{Scale: panicScale, LLC: small})
+	if u := memo.Stats(); u != before {
+		t.Errorf("the LRU run after the panic changed the memo (%+v, before %+v); want it served from the entry", u, before)
+	}
+	want := perAccessRun(hmmer(t), policy.NewLRU(), panicScale, small)
+	if got.Instructions != want.Instructions || got.Cycles != want.Cycles || got.IPC != want.IPC ||
+		got.LLC != want.LLC || got.L1 != want.L1 || got.L2 != want.L2 {
+		t.Errorf("LRU run from the memo: %+v\nper-access LRU run: %+v", got, want)
+	}
+}
+
+// TestFilteredStreamsSmallerThanRaw: every workload's filtered stream
+// costs the memo less than its raw stream (24 bytes per access) would.
+func TestFilteredStreamsSmallerThanRaw(t *testing.T) {
+	for _, w := range workloads.All() {
+		n := w.Accesses(testScale)
+		s := memoFiltered(w, testScale)
+		if raw := n * int(unsafe.Sizeof(mem.Access{})); s.bytes() >= raw {
+			t.Errorf("%s: filtered stream is %d bytes, raw %d (%.1f bytes per access)", w.Name, s.bytes(), raw, float64(s.bytes())/float64(n))
+		}
+		t.Logf("%s: %.1f bytes per access", w.Name, float64(s.bytes())/float64(n))
+	}
+}
+
+// TestConcurrentRunsShareOneFill runs eight RunSingle calls on one
+// memo-sized stream at once (run it under -race): they must admit one
+// memo entry, the stream's private-level output, and agree exactly.
+func TestConcurrentRunsShareOneFill(t *testing.T) {
+	w := hmmer(t)
+	n := 3*chunkSize + 5
+	for { // a stream no earlier test or repeat left resident
+		if _, ok := filteredStreams.Get(streamKey{w.Name, n}); !ok {
+			break
+		}
+		n++
+	}
+	scale := (float64(n) + 0.5) / float64(w.Accesses(1))
+	small := cache.Config{Name: "LLC", SizeBytes: 64 << 10, Ways: 16}
+	before := memo.Stats()
+	results := make([]SingleResult, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pol := dbrb.New(policy.NewLRU(), predictor.NewSampler(predictor.DefaultSamplerConfig()))
+			results[i] = RunSingle(w, pol, SingleOptions{Scale: scale, LLC: small})
+		}()
+	}
+	wg.Wait()
+	after := memo.Stats()
+	if a := after.Entries - before.Entries + int(after.Evictions-before.Evictions); a != 1 {
+		t.Errorf("eight runs of one stream admitted %d memo entries, want 1", a)
+	}
+	if _, ok := filteredStreams.Get(streamKey{w.Name, n}); !ok {
+		t.Error("the stream's filtered output is not resident")
+	}
+	for i, r := range results[1:] {
+		r0 := results[0]
+		if r.IPC != r0.IPC || r.Cycles != r0.Cycles || r.Instructions != r0.Instructions ||
+			r.LLC != r0.LLC || r.L1 != r0.L1 || r.L2 != r0.L2 || *r.Accuracy != *r0.Accuracy {
+			t.Errorf("run %d differs from run 0:\n%+v\n%+v", i+1, r, r0)
 		}
 	}
 }

@@ -139,8 +139,9 @@ func (p *Program) NextBatch(dst []mem.Access) int {
 // Replay is the in-memory stream: NextBatch yields exactly the accesses
 // of a slice, and Reset rewinds to the start. Replaying a memoized
 // stream costs one bulk copy per batch where regenerating it costs the
-// full kernel machinery per access (see workloads.Generator), and a
-// decoded trace file replays the same way (see NewReader).
+// full kernel machinery per access (see sim.RunMulticore's member
+// streams), and a decoded trace file replays the same way (see
+// NewReader).
 type Replay struct {
 	s []mem.Access
 	n int

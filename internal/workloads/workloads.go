@@ -43,40 +43,15 @@ type Workload struct {
 
 // Generator returns the workload's reference stream at the given scale
 // (1.0 reproduces the default length) as a batch generator. Streams are
-// deterministic: the same workload and scale always produce the same
-// accesses.
-//
-// A stream of at most memoMaxAccesses is generated once and kept in the
-// process memo, so a campaign's repeated walks of the same (workload,
-// scale) — one per policy, plus the instruction-count and capture
-// passes — replay a bulk-copied slice instead of re-running the kernel
-// machinery per access. Longer streams, such as every full-scale one
-// (tens of MB), bypass the memo and keep their generate-as-you-go
-// memory profile. Replayed and generated streams are identical by
-// construction.
+// deterministic: the same workload and stream length always produce the
+// same accesses. Each call generates the stream afresh; what a campaign
+// reuses is kept by package sim, in the process memo: the private
+// levels' output of a small stream, and a multicore member's stream.
 func (w Workload) Generator(scale float64) trace.BatchGenerator {
-	n := w.Accesses(scale)
-	if n > memoMaxAccesses {
-		return w.rawGenerator(n)
-	}
-	s, _ := streams.Do(streamKey{id: w.id, n: n}, func() ([]mem.Access, int, error) {
-		s := make([]mem.Access, n)
-		w.rawGenerator(n).NextBatch(s)
-		return s, memo.SliceBytes(s), nil
-	})
-	return trace.NewReplay(s)
+	b := &builder{bench: uint64(w.id)}
+	k := w.build(b)
+	return trace.NewProgram(k, w.Accesses(scale), 0xBE2C0000+uint64(w.id))
 }
-
-// memoMaxAccesses is the longest stream Generator keeps in the memo:
-// 12 MiB, a quarter of memo.Budget.
-const memoMaxAccesses = 512 << 10
-
-type streamKey struct {
-	id int
-	n  int
-}
-
-var streams = memo.New[streamKey, []mem.Access]()
 
 // Accesses returns the length of the workload's reference stream at
 // the given scale: the number of accesses Generator(scale) delivers.
@@ -86,12 +61,6 @@ func (w Workload) Accesses(scale float64) int {
 		n = 1
 	}
 	return n
-}
-
-func (w Workload) rawGenerator(n int) *trace.Program {
-	b := &builder{bench: uint64(w.id)}
-	k := w.build(b)
-	return trace.NewProgram(k, n, 0xBE2C0000+uint64(w.id))
 }
 
 type instrKey struct {
@@ -104,10 +73,8 @@ var instructions = memo.New[instrKey, uint64]()
 // Instructions returns the instruction count of one full pass of the
 // workload's stream at the given scale (0 means 1): the sum over all
 // accesses of Gap+1. Streams are deterministic, so each count is walked
-// once and kept in the process memo; multicore runs ask for the same
-// counts once per mix member per policy, and walking a stream costs
-// nearly as much as simulating it. The method is safe for concurrent
-// use.
+// once and kept in the process memo; walking a stream costs nearly as
+// much as simulating it. The method is safe for concurrent use.
 func (w Workload) Instructions(scale float64) uint64 {
 	if scale == 0 {
 		scale = 1
